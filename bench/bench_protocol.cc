@@ -268,6 +268,9 @@ int main(int argc, char** argv) {
 
   MeasureOptions base_opt;
   base_opt.measure_native = false;
+  // One prover thread, like the in-process path: the rows measure what the
+  // session layer costs, not what the pooled prover saves.
+  base_opt.prover_threads = 1;
   base_opt.transport.recv_deadline = std::chrono::milliseconds(recv_timeout_ms);
   base_opt.transport.handshake_deadline =
       std::chrono::milliseconds(recv_timeout_ms);

@@ -417,22 +417,26 @@ fi
 # protocol_test (prover and verifier driving a shared loopback/socketpair
 # from separate threads), and the shared tracer/metrics collectors in
 # obs_test (many threads recording spans and counters concurrently, plus
-# the cross-thread-stitched harness batch). Only the concurrency-heavy
-# tests run: TSan's ~10x slowdown makes the full suite impractical, and
-# the remaining tests are single-threaded.
+# the cross-thread-stitched harness batch), and the pooled prover
+# (ProverSession::ProveBatch under the harness and the serve client). Only
+# the concurrency-heavy tests run: TSan's ~10x slowdown makes the full suite
+# impractical, and the remaining tests are single-threaded.
 tsan_config() {
   echo "==== [tsan] configure + build ===="
   cmake -B build-tsan -S . -DZAATAR_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target parallel_test multiexp_test protocol_test obs_test \
              transport_robustness_test serve_test chaos_test \
-             residue_test poly_test qap_test
+             residue_test poly_test qap_test harness_test
   echo "==== [tsan] concurrency-heavy tests ===="
   for t in parallel_test multiexp_test protocol_test obs_test \
            transport_robustness_test serve_test; do
     TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
       watchdog "./build-tsan/tests/$t"
   done
+  echo "==== [tsan] pooled prover (harness) ===="
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+    watchdog ./build-tsan/tests/harness_test --gtest_filter='HarnessPoolTest.*'
   # Residue-pipeline tests with the per-prime fan-out forced on: on a
   # single-core runner PolyWorkers() is 1 and the ParallelFor paths in
   # ResiduePoly/ComputeH would run inline, so pin 4 workers to make TSan

@@ -3,13 +3,15 @@
 // Used by bench/ and examples/.
 //
 // The batch runs as a REAL two-party exchange: the verifier session lives on
-// the calling thread, the prover session on a dedicated thread, and the only
-// thing that crosses between them is serialized protocol messages over a
-// Transport (in-memory loopback by default, a socketpair via `links`). Every
-// benchmark and test therefore exercises the same byte-level boundary a
-// networked deployment would. The Prg consumption order (queries -> keys ->
-// commitment setup -> instances) matches the old in-process harness exactly,
-// so accept/reject outcomes are bit-identical to it at equal seeds.
+// the calling thread, the prover session on a dedicated thread (proving the
+// instances on a pool of its own, see MeasureOptions::prover_threads), and
+// the only thing that crosses between them is serialized protocol messages
+// over a Transport (in-memory loopback by default, a socketpair via
+// `links`). Every benchmark and test therefore exercises the same byte-level
+// boundary a networked deployment would. The Prg consumption order (queries
+// -> keys -> commitment setup -> instances) matches the old in-process
+// harness exactly, so accept/reject outcomes are bit-identical to it at
+// equal seeds.
 
 #ifndef SRC_APPS_HARNESS_H_
 #define SRC_APPS_HARNESS_H_
@@ -229,6 +231,13 @@ struct MeasureOptions {
   // channel, so a transport failure consumes the retry budget immediately;
   // both endpoints are closed when the batch ends.
   protocol::TransportPair* preconnected = nullptr;
+
+  // Threads the prover proves with (ProverSession::ProveBatch): up to this
+  // many instances at once, leftover threads shared by each instance's
+  // kernels. The wire traffic is byte-identical for every value. 0 means one
+  // per hardware thread; 1 is one instance at a time on the prover's session
+  // thread.
+  size_t prover_threads = 0;
 };
 
 // Runs a batch of `beta` instances of `app` through the full argument, with
@@ -311,8 +320,10 @@ BatchMeasurement MeasureBatch(const App<F>& app,
     // reference, phase violations) are stashed in `prover_error` and
     // rethrown on the calling thread. Its spans ("prover.solve",
     // "prover.construct_proof", and the session's "prover.commit"/
-    // "prover.answer") land in the same tracer, parented under the batch
-    // root.
+    // "prover.answer", from whichever pool thread proved the instance) land
+    // in the same tracer, parented under the batch root.
+    const size_t prover_threads =
+        opt.prover_threads != 0 ? opt.prover_threads : HardwareThreads();
     std::string prover_error;  // written by the prover thread, read after join
     auto prover_main = [&](uint32_t resume, protocol::Transport* link) {
       obs::ScopedThreadTracer stitch(out.trace.get(), root_id);
@@ -336,48 +347,39 @@ BatchMeasurement MeasureBatch(const App<F>& app,
           }
           return;  // channel-class: the verifier recovers
         }
-        for (size_t i = resume; i < beta; i++) {
+        // Instance i's proof vectors, on a ProveBatch pool thread. A local
+        // bug throws; ProveBatch rethrows it here once every earlier
+        // instance is decided, where the sequential loop would have stopped.
+        auto build = [&](uint32_t i) {
           std::vector<F> gw;
           {
             obs::Span solve("prover.solve");
             gw = program.SolveGinger(instances[i].inputs);
           }
-
           typename Backend::ProofVectors vectors =
               Backend::BuildProofVectors(prep, program, gw);
-
-          std::vector<F> outputs = program.ExtractOutputs(gw);
-          if (outputs != instances[i].expected_outputs) {
-            fatal(app.name +
-                  ": compiled outputs disagree with the native reference");
-            return;
+          if (program.ExtractOutputs(gw) != instances[i].expected_outputs) {
+            throw std::runtime_error(
+                app.name +
+                ": compiled outputs disagree with the native reference");
           }
           Status shape = Adapter::ValidateProverVectors(
               session.context(), {&vectors.first, &vectors.second});
           if (!shape.ok()) {
-            fatal("prover vectors: " + shape.ToString());
-            return;
+            throw std::runtime_error("prover vectors: " + shape.ToString());
           }
-          auto sent = session.ProveInstance(
-              *link, {&vectors.first, &vectors.second});
-          if (!sent.ok()) {
-            if (sent.status().code() == StatusCode::kPhaseViolation) {
-              fatal("prover instance " + std::to_string(i) + ": " +
-                    sent.status().ToString());
-            }
-            return;
-          }
-          auto verdict = session.ReceiveVerdict(*link);
-          if (!verdict.ok()) {
-            // Includes a garbled verdict frame (kMalformed): the session
-            // cannot resync mid-stream, so behave as a dead peer and let
-            // the reconnect path replay the instance.
-            if (verdict.status().code() == StatusCode::kPhaseViolation) {
-              fatal("prover verdict " + std::to_string(i) + ": " +
-                    verdict.status().ToString());
-            }
-            return;
-          }
+          return typename protocol::ProverSession<F>::OwnedVectors{
+              std::move(vectors.first), std::move(vectors.second)};
+        };
+        Status st = session.ProveBatch(*link, static_cast<uint32_t>(beta),
+                                       prover_threads, build);
+        // Anything but a phase violation is channel-class — including a
+        // garbled verdict frame (kMalformed): the session cannot resync
+        // mid-stream, so it behaves as a dead peer and the reconnect path
+        // replays the instance.
+        if (st.code() == StatusCode::kPhaseViolation) {
+          fatal("prover instance " + std::to_string(session.next_instance()) +
+                ": " + st.ToString());
         }
       } catch (const std::exception& e) {
         fatal(e.what());
@@ -530,7 +532,8 @@ BatchMeasurement MeasureBatch(const App<F>& app,
 
 // Legacy signature: the historical single-shot semantics (no deadlines, no
 // reconnection — `backoff.max_retries = 0` makes the first transport failure
-// final). `links` optionally supplies caller-owned endpoints (left =
+// final — and one instance at a time, so the span tree is strictly
+// sequential). `links` optionally supplies caller-owned endpoints (left =
 // verifier side, right = prover side); the default is an in-memory loopback.
 template <typename F, typename Backend>
 BatchMeasurement MeasureBatch(const App<F>& app,
@@ -542,6 +545,7 @@ BatchMeasurement MeasureBatch(const App<F>& app,
   opt.measure_native = measure_native;
   opt.preconnected = links;
   opt.backoff.max_retries = 0;
+  opt.prover_threads = 1;
   return MeasureBatch<F, Backend>(app, program, beta, params, seed, opt);
 }
 

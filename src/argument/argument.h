@@ -139,8 +139,8 @@ class Argument {
   // (reconstructed from SetupMessage bytes by the session layer).
   // `proof_vectors` are the two oracle vectors (e.g. z and h); construct-u /
   // solve costs are added by the caller. `workers` > 1 splits the commitment
-  // multi-exponentiations across threads — the intra-instance counterpart of
-  // the across-instance parallelism in src/argument/parallel.h.
+  // multi-exponentiations and the query answers across threads — the
+  // intra-instance counterpart of ProverSession::ProveBatch.
   static InstanceProof Prove(
       const std::array<const std::vector<F>*, 2>& proof_vectors,
       const ProverContext<F>& ctx, size_t workers = 1) {

@@ -3,9 +3,11 @@
 // and cryptographic operations can be offloaded to an accelerator.
 //
 // Two pieces:
-//   - ParallelFor (src/util/parallel_for.h, re-exported here): a real
-//     thread-pool primitive used to distribute per-instance proving across
-//     hardware threads and to chunk the multi-exponentiation kernels.
+//   - ParallelFor and OrderedParallelFor (src/util/parallel_for.h,
+//     re-exported here): the real thread pools. The harness prover proves a
+//     batch's instances across hardware threads through OrderedParallelFor
+//     (ProverSession::ProveBatch), and ParallelFor chunks the
+//     multi-exponentiation and answering kernels within an instance.
 //   - DistributedProverModel: the latency model for the paper's cluster/GPU
 //     configurations (e.g. "30C+30G"). On this reproduction's hardware we
 //     measure single-worker phase costs empirically and model the fleet; the

@@ -31,6 +31,7 @@
 #include "src/crypto/elgamal.h"
 #include "src/crypto/prg.h"
 #include "src/pcp/linear_oracle.h"
+#include "src/util/parallel_for.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
 
@@ -130,22 +131,20 @@ class LinearCommitment {
   // Phase 4 (prover, per instance): answer every multidecommit query plus
   // the consistency query in the clear. Fills `responses` / `t_response` of
   // an already-committed proof part. Queries and t are wire-decoded on the
-  // session path, so length mismatches are typed errors.
+  // session path, so length mismatches are typed errors. `workers` > 1
+  // splits the queries across threads; every answer is its own inner
+  // product, so the split cannot change one.
   static Status Answer(const std::vector<F>& u,
                        const std::vector<std::vector<F>>& queries,
-                       const std::vector<F>& t, OracleProofPart<F>* part) {
-    part->responses.clear();
-    part->responses.reserve(queries.size());
+                       const std::vector<F>& t, OracleProofPart<F>* part,
+                       size_t workers = 1) {
     for (size_t k = 0; k < queries.size(); k++) {
-      const auto& q = queries[k];
-      if (q.size() != u.size()) {
+      if (queries[k].size() != u.size()) {
         return ShapeMismatchError("query " + std::to_string(k) + " length " +
-                                  std::to_string(q.size()) +
+                                  std::to_string(queries[k].size()) +
                                   " != oracle length " +
                                   std::to_string(u.size()));
       }
-      part->responses.push_back(
-          VectorOracle<F>::InnerProduct(q.data(), u.data(), u.size()));
     }
     if (t.size() != u.size()) {
       return ShapeMismatchError("consistency query length " +
@@ -153,8 +152,13 @@ class LinearCommitment {
                                 " != oracle length " +
                                 std::to_string(u.size()));
     }
-    part->t_response =
-        VectorOracle<F>::InnerProduct(t.data(), u.data(), u.size());
+    part->responses.assign(queries.size(), F::Zero());
+    // Index queries.size() is the consistency query t.
+    ParallelFor(queries.size() + 1, workers, [&](size_t k) {
+      const std::vector<F>& q = k < queries.size() ? queries[k] : t;
+      F& answer = k < queries.size() ? part->responses[k] : part->t_response;
+      answer = VectorOracle<F>::InnerProduct(q.data(), u.data(), u.size());
+    });
     return Status::Ok();
   }
 
@@ -217,7 +221,7 @@ StatusOr<OracleProofPart<F>> LinearCommitment<F>::Prove(
     timer.Restart();
   }
 
-  ZAATAR_RETURN_IF_ERROR(Answer(u, queries, t, &part));
+  ZAATAR_RETURN_IF_ERROR(Answer(u, queries, t, &part, workers));
   if (answer_seconds != nullptr) {
     *answer_seconds += timer.Lap();
   }

@@ -129,6 +129,10 @@ inline ThreadTraceState& ThreadTrace() {
 
 inline Tracer* ThreadTracer() { return internal::ThreadTrace().tracer; }
 
+// The innermost open span on this thread (or its default parent): what a
+// worker passes to ScopedThreadTracer to stitch its spans in right here.
+inline uint32_t CurrentSpan() { return internal::ThreadTrace().current; }
+
 // Installs `tracer` as this thread's ambient collector for the guard's
 // lifetime; spans opened with no enclosing span become children of
 // `default_parent` (pass a span id from another thread to stitch this
@@ -185,6 +189,7 @@ class Span {
 #else  // !ZAATAR_TRACE: every guard compiles to an empty object.
 
 inline Tracer* ThreadTracer() { return nullptr; }
+inline uint32_t CurrentSpan() { return kNoSpan; }
 
 class ScopedThreadTracer {
  public:

@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "src/field/prime_field.h"
@@ -68,8 +67,7 @@ inline size_t PolyWorkers() {
       size_t v = std::strtoul(env, nullptr, 10);
       return v == 0 ? size_t{1} : std::min(v, kNumNttPrimes);
     }
-    size_t hc = std::thread::hardware_concurrency();
-    return hc == 0 ? size_t{1} : std::min(hc, kNumNttPrimes);
+    return std::min(HardwareThreads(), kNumNttPrimes);
   }();
   return kWorkers;
 }

@@ -159,13 +159,17 @@ struct ServeBatchReport {
 // Proves `instances` instances of the registered Ψ against a running daemon
 // over one connection: compile Ψ from the same registry entry the server
 // uses, Hello (adopting the server's cached setup), then per instance
-// solve → build proof vectors → Commit/Decommit → kProve → verdict.
+// solve → build proof vectors → proof frame → kProve → verdict. The
+// instances are proved on every hardware thread ahead of the round trips
+// (ProverSession::ProveBatch), which stay one at a time and byte-identical
+// to the one-thread run.
 // An honest run returns accepted == instances; any rejected instance is a
 // real soundness signal, reported in the count, not an error.
 inline StatusOr<ServeBatchReport> RunServeBatchF128(
     ServeClient& client, const std::string& psi, const std::string& tenant,
     size_t instances, uint64_t instance_seed) {
   using F = F128;
+  using Session = protocol::ProverSession<F>;
   ZAATAR_ASSIGN_OR_RETURN(App<F> app, MakeRegisteredAppF128(psi));
   const CompiledProgram<F> program = CompileZlang<F>(app.source);
   Qap<F> qap(program.zaatar.r1cs);
@@ -175,30 +179,36 @@ inline StatusOr<ServeBatchReport> RunServeBatchF128(
   Stopwatch hello_sw;
   ZAATAR_ASSIGN_OR_RETURN(std::vector<uint8_t> setup_bytes,
                           client.Hello(kFieldTagF128, psi, tenant));
-  protocol::ProverSession<F> session;
+  Session session;
   ZAATAR_RETURN_IF_ERROR(session.IngestSetup(setup_bytes));
   report.hello_seconds = hello_sw.ElapsedSeconds();
 
-  Prg prg(instance_seed);
   Stopwatch prove_sw;
+  // Drawn up front (the Prg feeds nothing else) so pool threads share them.
+  Prg prg(instance_seed);
+  std::vector<AppInstance<F>> batch;
+  batch.reserve(instances);
   for (size_t i = 0; i < instances; i++) {
-    AppInstance<F> inst = app.make_instance(prg);
-    const std::vector<F> gw = program.SolveGinger(inst.inputs);
-    const std::vector<F> outputs = program.ExtractOutputs(gw);
-    const std::vector<F> w = program.SolveZaatar(gw);
-    ZaatarProof<F> proof = BuildZaatarProof(qap, w);
-    ZAATAR_RETURN_IF_ERROR(
-        session.Commit({&proof.z, &proof.h}, /*workers=*/1));
-    ZAATAR_ASSIGN_OR_RETURN(std::vector<uint8_t> proof_frame,
-                            session.Decommit());
-    ByteWriter payload;
-    PutFieldVector(&payload, inst.inputs);
-    PutFieldVector(&payload, outputs);
-    payload.PutBytes(proof_frame.data(), proof_frame.size());
-    ZAATAR_ASSIGN_OR_RETURN(std::vector<uint8_t> verdict_bytes,
-                            client.Prove(payload.bytes()));
-    ZAATAR_ASSIGN_OR_RETURN(VerifyInstanceResult verdict,
-                            session.IngestVerdict(verdict_bytes));
+    batch.push_back(app.make_instance(prg));
+  }
+  // The claimed outputs: written by build(i), read by exchange(i) after it.
+  std::vector<std::vector<F>> outputs(instances);
+  ZAATAR_RETURN_IF_ERROR(session.ProveBatch(
+      static_cast<uint32_t>(instances), HardwareThreads(),
+      [&](uint32_t i) {
+        const std::vector<F> gw = program.SolveGinger(batch[i].inputs);
+        outputs[i] = program.ExtractOutputs(gw);
+        ZaatarProof<F> proof = BuildZaatarProof(qap, program.SolveZaatar(gw));
+        return Session::OwnedVectors{std::move(proof.z), std::move(proof.h)};
+      },
+      [&](uint32_t i, const std::vector<uint8_t>& proof_frame) {
+        ByteWriter payload;
+        PutFieldVector(&payload, batch[i].inputs);
+        PutFieldVector(&payload, outputs[i]);
+        payload.PutBytes(proof_frame.data(), proof_frame.size());
+        return client.Prove(payload.bytes());
+      }));
+  for (const VerifyInstanceResult& verdict : session.verdicts()) {
     report.instances++;
     if (verdict.accepted()) {
       report.accepted++;

@@ -52,6 +52,9 @@ MeasureOptions ChaosMeasureOptions(MeasureOptions::Link link, uint64_t seed) {
   opt.backoff.initial = Millis(1);
   opt.backoff.cap = Millis(4);
   opt.backoff.jitter_seed = seed;
+  // Four prover threads even on a small host, so reconnects land while the
+  // pool holds instances in flight.
+  opt.prover_threads = 4;
   opt.wrap_transport = [seed](std::unique_ptr<protocol::Transport> inner,
                               bool verifier_side, uint32_t connection) {
     // Each endpoint of each connection gets its own deterministic fault

@@ -1,7 +1,14 @@
 // End-to-end: full batched arguments over compiled benchmark programs, plus
-// validation that the Figure 3 cost model tracks reality.
+// validation that the Figure 3 cost model tracks reality, and the pooled
+// prover's contract: the same bytes in the same order for every
+// MeasureOptions::prover_threads.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "src/apps/harness.h"
 
@@ -130,6 +137,118 @@ TEST(HarnessTest, ZaatarBatchOverSocketpairAccepts) {
   EXPECT_TRUE(m.all_accepted);
   EXPECT_EQ(m.verdict_counts[static_cast<size_t>(VerifyVerdict::kAccept)], 2u);
 }
+
+// Every frame either endpoint sends, in the order the Send calls happen.
+// The protocol is strict ping-pong (each side sends only after receiving
+// the other's previous frame), so this order is deterministic.
+struct WireLog {
+  std::mutex mu;
+  std::vector<std::pair<bool, std::vector<uint8_t>>> frames;  // (verifier?)
+};
+
+class RecordingTransport final : public protocol::Transport {
+ public:
+  RecordingTransport(std::unique_ptr<protocol::Transport> inner,
+                     bool verifier_side, WireLog* log)
+      : inner_(std::move(inner)), verifier_side_(verifier_side), log_(log) {}
+  Status Send(const std::vector<uint8_t>& frame) override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->frames.emplace_back(verifier_side_, frame);
+    }
+    return inner_->Send(frame);
+  }
+  StatusOr<std::vector<uint8_t>> Receive() override {
+    return inner_->Receive();
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<protocol::Transport> inner_;
+  bool verifier_side_;
+  WireLog* log_;
+};
+
+struct RecordedBatch {
+  BatchMeasurement m;
+  WireLog wire;
+};
+
+template <typename F>
+std::unique_ptr<RecordedBatch> RunRecorded(const App<F>& app, size_t beta,
+                                           uint64_t seed,
+                                           size_t prover_threads) {
+  auto out = std::make_unique<RecordedBatch>();
+  auto program = CompileZlang<F>(app.source);
+  MeasureOptions opt;
+  opt.measure_native = false;
+  opt.link = MeasureOptions::Link::kSocketpair;
+  opt.prover_threads = prover_threads;
+  WireLog* log = &out->wire;
+  opt.wrap_transport = [log](std::unique_ptr<protocol::Transport> inner,
+                             bool verifier_side, uint32_t) {
+    return std::unique_ptr<protocol::Transport>(
+        std::make_unique<RecordingTransport>(std::move(inner), verifier_side,
+                                             log));
+  };
+  out->m = MeasureBatch<F, ZaatarHarnessBackend<F>>(
+      app, program, beta, PcpParams::Light(), seed, opt);
+  return out;
+}
+
+// The pooled prover's contract: whatever the thread count, the verifier and
+// the prover exchange exactly the bytes of the one-instance-at-a-time
+// prover, in exactly its order, and every verdict is the same.
+template <typename F>
+void ExpectTheSameWire(const App<F>& app, size_t beta, uint64_t seed) {
+  auto reference = RunRecorded(app, beta, seed, /*prover_threads=*/1);
+  ASSERT_TRUE(reference->m.all_accepted) << app.name;
+  ASSERT_EQ(reference->wire.frames.size(), 1 + 2 * beta) << app.name;
+  for (size_t threads : {2, 4, 8}) {
+    auto pooled = RunRecorded(app, beta, seed, threads);
+    EXPECT_TRUE(pooled->m.all_accepted) << app.name << " threads=" << threads;
+    EXPECT_EQ(pooled->wire.frames, reference->wire.frames)
+        << app.name << " threads=" << threads;
+  }
+}
+
+TEST(HarnessPoolTest, WireIsByteIdenticalForEveryProverThreadCount) {
+  ExpectTheSameWire(MakeLcsApp(4), /*beta=*/6, /*seed=*/33);
+  ExpectTheSameWire(MakeRootFindApp(2, 4), /*beta=*/3, /*seed=*/34);
+}
+
+#if ZAATAR_TRACE
+// Pool threads stitch their spans under the batch root like the sequential
+// prover's, so the per-phase cost fields keep their meaning (per-instance
+// sums, now measured on whichever thread proved the instance).
+TEST(HarnessPoolTest, PooledSpansStitchUnderTheBatchRoot) {
+  auto app = MakeLcsApp(4);
+  const size_t kBeta = 5;
+  auto run = RunRecorded(app, kBeta, /*seed=*/35, /*prover_threads=*/4);
+  ASSERT_TRUE(run->m.all_accepted);
+  const obs::Tracer& t = *run->m.trace;
+  EXPECT_EQ(t.CountSpans("prover.commit"), kBeta);
+  EXPECT_EQ(t.CountSpans("prover.answer"), kBeta);
+  EXPECT_EQ(t.CountSpans("prover.construct_proof"), kBeta);
+  EXPECT_EQ(t.CountSpans("prover.solve"), 2 * kBeta);
+  auto nodes = t.Snapshot();
+  uint32_t root_id = obs::kNoSpan;
+  for (uint32_t id = 0; id < nodes.size(); id++) {
+    if (nodes[id].name == "harness.batch") {
+      root_id = id;
+    }
+  }
+  ASSERT_NE(root_id, obs::kNoSpan);
+  for (const auto& n : nodes) {
+    if (n.name == "prover.commit" || n.name == "prover.answer" ||
+        n.name == "prover.construct_proof") {
+      EXPECT_EQ(n.parent, root_id) << n.name;
+    }
+  }
+  EXPECT_GT(run->m.prover.crypto_s, 0.0);
+  EXPECT_GE(run->m.metrics->CounterValue("multiexp.calls"), 2 * kBeta);
+}
+#endif  // ZAATAR_TRACE
 
 TEST(HarnessTest, ZaatarProofIsShorterThanGingerAtEqualSize) {
   auto app = MakeLcsApp(4);

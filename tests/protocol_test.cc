@@ -1,8 +1,9 @@
 // The message-driven session layer: round trips and corruption sweeps for
 // the three protocol messages, runtime phase enforcement in both state
-// machines, and full prover/verifier exchanges over the loopback and
-// socketpair transports (including a two-threaded batch, which is the TSan
-// CI target for this layer).
+// machines, full prover/verifier exchanges over the loopback and socketpair
+// transports (including a two-threaded batch, which is the TSan CI target
+// for this layer), and ProveBatch's pooled proving: byte-identical frames
+// in the sequential order for every thread count.
 
 #include "src/protocol/session.h"
 
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -509,13 +511,13 @@ void RunTwoThreadedBatch(SessionFixture& f, protocol::TransportPair pair,
   std::thread prover_thread([&] {
     ProverSession<F> session;
     ASSERT_TRUE(session.ReceiveSetup(*pair.right).ok());
-    for (size_t i = 0; i < beta; i++) {
-      auto sent = session.ProveInstance(*pair.right, f.Vectors());
-      ASSERT_TRUE(sent.ok()) << sent.status().ToString();
-      auto verdict = session.ReceiveVerdict(*pair.right);
-      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-      prover_seen.push_back(*verdict);
-    }
+    Status st = session.ProveBatch(
+        *pair.right, static_cast<uint32_t>(beta), /*threads=*/1,
+        [&](uint32_t) {
+          return ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    prover_seen = session.verdicts();
   });
 
   ASSERT_TRUE(f.verifier.SendSetup(*pair.left).ok());
@@ -560,19 +562,20 @@ TEST(ProtocolSessionTest, CheatingInstanceGetsTypedVerdictOverTransport) {
     ProverSession<F> session;
     ASSERT_TRUE(session.ReceiveSetup(*pair.right).ok());
     for (size_t i = 0; i < 3; i++) {
+      ASSERT_TRUE(session.Commit(f.Vectors()).ok());
+      auto frame = session.Decommit();
+      ASSERT_TRUE(frame.ok());
       if (i == 1) {
-        // Commit honestly, then tamper with a response after the fact.
-        ASSERT_TRUE(session.Commit(f.Vectors()).ok());
-        auto frame = session.Decommit();
-        ASSERT_TRUE(frame.ok());
+        // Committed honestly; tamper with a response after the fact.
         auto msg = protocol::ProofMessage<F>::Deserialize(*frame);
         ASSERT_TRUE(msg.ok());
         msg->responses[0][0] += F::One();
-        ASSERT_TRUE(pair.right->Send(msg->Serialize()).ok());
-      } else {
-        ASSERT_TRUE(session.ProveInstance(*pair.right, f.Vectors()).ok());
+        *frame = msg->Serialize();
       }
-      auto verdict = session.ReceiveVerdict(*pair.right);
+      ASSERT_TRUE(pair.right->Send(*frame).ok());
+      auto bytes = pair.right->Receive();
+      ASSERT_TRUE(bytes.ok());
+      auto verdict = session.IngestVerdict(*bytes);
       ASSERT_TRUE(verdict.ok());
       prover_seen.push_back(*verdict);
     }
@@ -589,6 +592,228 @@ TEST(ProtocolSessionTest, CheatingInstanceGetsTypedVerdictOverTransport) {
   EXPECT_EQ(prover_seen[0].verdict, VerifyVerdict::kAccept);
   EXPECT_EQ(prover_seen[1].verdict, VerifyVerdict::kRejectCommit);
   EXPECT_EQ(prover_seen[2].verdict, VerifyVerdict::kAccept);
+}
+
+// ----- proving a batch on a pool -----
+
+// The fixture's instance, with h tampered when `cheat` is set (the verifier
+// then rejects it).
+ProverSession<F>::OwnedVectors InstanceVectors(const SessionFixture& f,
+                                               bool cheat) {
+  ProverSession<F>::OwnedVectors v{f.proof.z, f.proof.h};
+  if (cheat) {
+    v[1][0] += F::One();
+  }
+  return v;
+}
+
+// The one-at-a-time Commit/Decommit loop against the fixture's verifier, in
+// process: the proof frames in order, instance `cheat_at` tampered.
+std::vector<std::vector<uint8_t>> SequentialFrames(SessionFixture& f,
+                                                   uint32_t beta,
+                                                   uint32_t cheat_at) {
+  ProverSession<F> p;
+  EXPECT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
+  std::vector<std::vector<uint8_t>> frames;
+  for (uint32_t i = 0; i < beta; i++) {
+    const auto v = InstanceVectors(f, i == cheat_at);
+    EXPECT_TRUE(p.Commit({&v[0], &v[1]}).ok());
+    auto frame = p.Decommit();
+    EXPECT_TRUE(frame.ok());
+    frames.push_back(*frame);
+    EXPECT_TRUE(f.verifier.HandleProof(*frame, f.rs.BoundValues()).ok());
+    EXPECT_TRUE(p.IngestVerdict(*f.verifier.EmitVerdict()).ok());
+  }
+  return frames;
+}
+
+// The same batch through ProveBatch on `threads` threads.
+std::vector<std::vector<uint8_t>> PooledFrames(SessionFixture& f,
+                                               uint32_t beta, size_t threads,
+                                               uint32_t cheat_at) {
+  ProverSession<F> p;
+  EXPECT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
+  std::vector<std::vector<uint8_t>> frames;
+  Status st = p.ProveBatch(
+      beta, threads,
+      [&](uint32_t i) { return InstanceVectors(f, i == cheat_at); },
+      [&](uint32_t i, const std::vector<uint8_t>& frame)
+          -> StatusOr<std::vector<uint8_t>> {
+        EXPECT_EQ(i, frames.size());
+        frames.push_back(frame);
+        ZAATAR_RETURN_IF_ERROR(
+            f.verifier.HandleProof(frame, f.rs.BoundValues()).status());
+        return f.verifier.EmitVerdict();
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(p.next_instance(), beta);
+  EXPECT_EQ(p.verdicts().size(), beta);
+  return frames;
+}
+
+// Every (threads, beta) shape — one instance per thread, more threads than
+// instances (each instance's commitment and answers split the spare
+// threads), a single instance on every thread — sends the sequential
+// loop's frames and gets its verdicts.
+TEST(ProtocolPoolTest, FramesAndVerdictsMatchTheSequentialLoop) {
+  const uint32_t kBeta = 7;
+  const uint32_t kCheat = 3;
+  std::vector<std::vector<uint8_t>> reference;
+  {
+    SessionFixture f(521);
+    reference = SequentialFrames(f, kBeta, kCheat);
+  }
+  const std::pair<size_t, uint32_t> kShapes[] = {
+      {1, kBeta}, {2, kBeta}, {4, kBeta}, {16, kBeta}, {4, 1}};
+  for (auto [threads, beta] : kShapes) {
+    SessionFixture f(521);
+    auto frames = PooledFrames(f, beta, threads, kCheat);
+    ASSERT_EQ(frames.size(), beta) << "threads=" << threads;
+    for (uint32_t i = 0; i < beta; i++) {
+      EXPECT_EQ(frames[i], reference[i])
+          << "threads=" << threads << " instance " << i;
+      EXPECT_EQ(f.verifier.results()[i].accepted(), i != kCheat)
+          << "threads=" << threads << " instance " << i;
+    }
+  }
+}
+
+TEST(ProtocolPoolTest, StopsAtTheFirstFailureInInstanceOrder) {
+  // A build that throws: every earlier instance was exchanged, no later one.
+  {
+    SessionFixture f(522);
+    ProverSession<F> p;
+    ASSERT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
+    size_t exchanged = 0;
+    EXPECT_THROW(
+        (void)p.ProveBatch(
+            8, 4,
+            [&](uint32_t i) {
+              if (i == 3) {
+                throw std::runtime_error("local bug");
+              }
+              return ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
+            },
+            [&](uint32_t, const std::vector<uint8_t>& frame)
+                -> StatusOr<std::vector<uint8_t>> {
+              exchanged++;
+              ZAATAR_RETURN_IF_ERROR(
+                  f.verifier.HandleProof(frame, f.rs.BoundValues()).status());
+              return f.verifier.EmitVerdict();
+            }),
+        std::runtime_error);
+    EXPECT_EQ(exchanged, 3u);
+    EXPECT_EQ(p.next_instance(), 3u);
+  }
+  // A failing exchange: its status comes back and nothing follows it.
+  {
+    SessionFixture f(523);
+    ProverSession<F> p;
+    ASSERT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
+    size_t exchanged = 0;
+    Status st = p.ProveBatch(
+        8, 4,
+        [&](uint32_t) {
+          return ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
+        },
+        [&](uint32_t i, const std::vector<uint8_t>& frame)
+            -> StatusOr<std::vector<uint8_t>> {
+          exchanged++;
+          if (i == 2) {
+            return TruncatedError("peer went away");
+          }
+          ZAATAR_RETURN_IF_ERROR(
+              f.verifier.HandleProof(frame, f.rs.BoundValues()).status());
+          return f.verifier.EmitVerdict();
+        });
+    EXPECT_EQ(st.code(), StatusCode::kTruncated);
+    EXPECT_EQ(exchanged, 3u);
+    EXPECT_EQ(p.verdicts().size(), 2u);
+  }
+  // Vectors that disagree with the setup: the shape error comes back in
+  // order, before any cryptography runs for that instance.
+  {
+    SessionFixture f(526);
+    ProverSession<F> p;
+    ASSERT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
+    size_t exchanged = 0;
+    Status st = p.ProveBatch(
+        4, 4,
+        [&](uint32_t i) {
+          auto v = InstanceVectors(f, false);
+          if (i == 1) {
+            v[0].pop_back();
+          }
+          return v;
+        },
+        [&](uint32_t, const std::vector<uint8_t>& frame)
+            -> StatusOr<std::vector<uint8_t>> {
+          exchanged++;
+          ZAATAR_RETURN_IF_ERROR(
+              f.verifier.HandleProof(frame, f.rs.BoundValues()).status());
+          return f.verifier.EmitVerdict();
+        });
+    EXPECT_EQ(st.code(), StatusCode::kMalformed);
+    EXPECT_EQ(exchanged, 1u);
+  }
+}
+
+TEST(ProtocolPoolTest, ProveBatchNeedsTheSetupAndResumes) {
+  SessionFixture f(524);
+  ProverSession<F> p;
+  auto build = [&](uint32_t) {
+    return ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
+  };
+  auto loopback = protocol::MakeLoopbackPair();
+  EXPECT_EQ(p.ProveBatch(*loopback.right, 3, 4, build).code(),
+            StatusCode::kPhaseViolation);
+
+  // A resumed session starts at its resume index; an empty range is a no-op.
+  ASSERT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
+  ASSERT_TRUE(p.StartAtInstance(3).ok());
+  EXPECT_TRUE(p.ProveBatch(*loopback.right, 3, 4, build).ok());
+  std::vector<uint32_t> indices;
+  Status st = p.ProveBatch(
+      5, 4, build,
+      [&](uint32_t i, const std::vector<uint8_t>& frame)
+          -> StatusOr<std::vector<uint8_t>> {
+        indices.push_back(i);
+        auto msg = protocol::ProofMessage<F>::Deserialize(frame);
+        EXPECT_TRUE(msg.ok());
+        EXPECT_EQ(msg->instance_index, i);
+        return protocol::VerdictMessage::FromResult(
+                   i, VerifyInstanceResult::Accept())
+            .Serialize();
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(indices, (std::vector<uint32_t>{3, 4}));
+}
+
+// The pooled prover over a real socketpair, with the verifier on the
+// calling thread (a TSan target alongside TwoThreadedBatchOverSocketpair).
+TEST(ProtocolPoolTest, PooledBatchOverSocketpair) {
+  SessionFixture f(525);
+  auto pair = protocol::PipeTransport::CreatePair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  const uint32_t kBeta = 6;
+  Status prover_status;
+  std::thread prover_thread([&] {
+    ProverSession<F> session;
+    prover_status = session.ReceiveSetup(*pair->right);
+    if (prover_status.ok()) {
+      prover_status = session.ProveBatch(*pair->right, kBeta, 4, [&](uint32_t) {
+        return ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
+      });
+    }
+  });
+  ASSERT_TRUE(f.verifier.SendSetup(*pair->left).ok());
+  for (uint32_t i = 0; i < kBeta; i++) {
+    auto result = f.verifier.DecideNext(*pair->left, f.rs.BoundValues());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->accepted()) << "instance " << i;
+  }
+  prover_thread.join();
+  EXPECT_TRUE(prover_status.ok()) << prover_status.ToString();
 }
 
 }  // namespace

@@ -365,6 +365,25 @@ TEST(ServeDaemonTest, TwoClientsAmortizeOneSetup) {
   server.Stop();
 }
 
+// The client proves ahead on a pool while its round trips stay one at a
+// time; the daemon sees the same requests and decides them the same way.
+TEST(ServeDaemonTest, PooledClientProvesAheadOfItsRoundTrips) {
+  serve::ServerOptions opt;
+  opt.socket_path = TestSocketPath();
+  opt.workers = 2;
+  serve::Server server(opt, serve::MakePsiBuilder(PcpParams::Light()));
+  ASSERT_TRUE(server.Start().ok());
+  auto client = serve::ServeClient::Connect(opt.socket_path, {});
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto report = serve::RunServeBatchF128(*client, "lcs/3", "pooled",
+                                         /*instances=*/5,
+                                         /*instance_seed=*/200);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->instances, 5u);
+  EXPECT_EQ(report->accepted, 5u);
+  server.Stop();
+}
+
 TEST(ServeDaemonTest, UnknownPsiIsTypedConnectionError) {
   serve::ServerOptions opt;
   opt.socket_path = TestSocketPath();

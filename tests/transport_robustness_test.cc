@@ -482,8 +482,9 @@ void RunHonestProver(Transport* link, const RetryFixture& f, uint32_t resume) {
   protocol::ProverSession<F> session;
   if (!session.StartAtInstance(resume).ok()) return;
   if (!session.ReceiveSetup(*link).ok()) return;
-  if (!session.ProveInstance(*link, f.Vectors()).ok()) return;
-  (void)session.ReceiveVerdict(*link);
+  (void)session.ProveBatch(*link, resume + 1, /*threads=*/1, [&f](uint32_t) {
+    return protocol::ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
+  });
 }
 
 TEST(RetryingSessionTest, ReconnectsAfterDeadPeerAndAccepts) {
