@@ -27,6 +27,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "src/apps/suite.h"
 #include "src/argument/argument.h"
 #include "src/argument/cost_model.h"
@@ -517,6 +521,15 @@ BatchMeasurement MeasureBatch(const App<F>& app,
     out.transport_retries = static_cast<size_t>(rsession.total_retries());
     out.transport_connections = static_cast<size_t>(rsession.connections());
   }  // closes the "harness.batch" root span
+
+#if defined(__GLIBC__)
+  // Return the batch's freed heap to the system. The prover and its pool
+  // threads free their working sets into per-thread glibc arenas, which
+  // outlive those threads and go to whichever threads the next batch
+  // starts. Untrimmed, what a batch leaves resident, and so the next
+  // batch's peak RSS, depends on thread timing (DESIGN.md §17).
+  malloc_trim(0);
+#endif
 
   // Cost fields are views over the span tree (0.0 under ZAATAR_TRACE=0).
   const obs::Tracer& t = *out.trace;
