@@ -5,6 +5,13 @@
 // Expected shape (paper): e2e is orders of magnitude above local; construct-u
 // ~40% and crypto ~35% of prover time, the remainder answering queries.
 //
+// Table mode also writes the rows and the suite's phase mix to
+// BENCH_fig5_breakdown.json (schema fig5.breakdown.v1; --out PATH moves it),
+// the artifact EXPERIMENTS.md's Figure 5 table is generated from. The prover
+// runs one instance at a time (prover_threads = 1); each phase is the
+// per-instance time of its span, and construct-u's ComputeH still spreads
+// over its own worker threads.
+//
 // --json [--out PATH]: instead of the table, emit BENCH_ntt.json (schema
 // ntt.pipeline.v1) — the residue-pipeline ComputeH decomposed into
 // interpolate / mul / divide at |C| in {256, 1024, 4096} over synthetic
@@ -26,28 +33,38 @@ namespace {
 
 using bench::HumanSeconds;
 
-double g_total_e2e = 0, g_total_crypto = 0, g_total_u = 0, g_total_answer = 0;
+// One app's per-instance prover phases, in seconds.
+struct BreakdownRow {
+  std::string app;
+  const char* field = "";
+  double local_s = 0, solve_s = 0, construct_u_s = 0, crypto_s = 0,
+         answer_s = 0, e2e_s = 0;
+  bool accepted = false;
+};
 
 template <typename F>
-void Row(const App<F>& app, const PcpParams& params, size_t beta) {
+BreakdownRow Row(const App<F>& app, const PcpParams& params, size_t beta) {
   auto program = CompileZlang<F>(app.source);
   auto m = MeasureZaatarBatch(app, program, beta, params, /*seed=*/7);
-  double e2e = m.prover.Total();
-  printf("%-38s %10s %12s %12s %12s %12s %12s  %s\n", app.name.c_str(),
-         HumanSeconds(m.stats.t_local_s).c_str(),
-         HumanSeconds(m.prover.solve_constraints_s).c_str(),
-         HumanSeconds(m.prover.construct_proof_s).c_str(),
-         HumanSeconds(m.prover.crypto_s).c_str(),
-         HumanSeconds(m.prover.answer_queries_s).c_str(),
-         HumanSeconds(e2e).c_str(),
-         m.all_accepted ? "ok" : "** REJECTED **");
-  g_total_e2e += e2e;
-  g_total_crypto += m.prover.crypto_s;
-  g_total_u += m.prover.construct_proof_s;
-  g_total_answer += m.prover.answer_queries_s;
+  BreakdownRow r;
+  r.app = app.name;
+  r.field = F::kName;
+  r.local_s = m.stats.t_local_s;
+  r.solve_s = m.prover.solve_constraints_s;
+  r.construct_u_s = m.prover.construct_proof_s;
+  r.crypto_s = m.prover.crypto_s;
+  r.answer_s = m.prover.answer_queries_s;
+  r.e2e_s = m.prover.Total();
+  r.accepted = m.all_accepted;
+  printf("%-38s %10s %12s %12s %12s %12s %12s  %s\n", r.app.c_str(),
+         HumanSeconds(r.local_s).c_str(), HumanSeconds(r.solve_s).c_str(),
+         HumanSeconds(r.construct_u_s).c_str(),
+         HumanSeconds(r.crypto_s).c_str(), HumanSeconds(r.answer_s).c_str(),
+         HumanSeconds(r.e2e_s).c_str(), r.accepted ? "ok" : "** REJECTED **");
+  return r;
 }
 
-int TableMain() {
+int TableMain(const char* out_path) {
   PcpParams params;
   printf("Figure 5: per-instance Zaatar prover cost vs local execution\n\n");
   printf("%-38s %10s %12s %12s %12s %12s %12s\n", "computation (Psi)",
@@ -55,17 +72,52 @@ int TableMain() {
          "e2e CPU");
   bench::PrintRule(120);
   const size_t kBeta = 2;
-  Row(MakePamApp(8, 16), params, kBeta);
-  Row(MakeRootFindApp(6, 8), params, kBeta);
-  Row(MakeApspApp(4), params, kBeta);
-  Row(MakeFannkuchApp(3, 5, 12), params, kBeta);
-  Row(MakeLcsApp(16), params, kBeta);
+  std::vector<BreakdownRow> rows;
+  rows.push_back(Row(MakePamApp(8, 16), params, kBeta));
+  rows.push_back(Row(MakeRootFindApp(6, 8), params, kBeta));
+  rows.push_back(Row(MakeApspApp(4), params, kBeta));
+  rows.push_back(Row(MakeFannkuchApp(3, 5, 12), params, kBeta));
+  rows.push_back(Row(MakeLcsApp(16), params, kBeta));
   bench::PrintRule(120);
+  double e2e = 0, u = 0, crypto = 0, answer = 0;
+  for (const BreakdownRow& r : rows) {
+    e2e += r.e2e_s;
+    u += r.construct_u_s;
+    crypto += r.crypto_s;
+    answer += r.answer_s;
+  }
   printf("\nPhase mix across the suite (paper: ~40%% construct u, ~35%% "
          "crypto, remainder answering queries):\n");
   printf("  construct u: %4.1f%%   crypto: %4.1f%%   answer queries: %4.1f%%\n",
-         100 * g_total_u / g_total_e2e, 100 * g_total_crypto / g_total_e2e,
-         100 * g_total_answer / g_total_e2e);
+         100 * u / e2e, 100 * crypto / e2e, 100 * answer / e2e);
+
+  FILE* fp = fopen(out_path, "w");
+  if (fp == nullptr) {
+    fprintf(stderr, "cannot open %s\n", out_path);
+    return 1;
+  }
+  fprintf(fp,
+          "{\n  \"bench\": \"fig5_prover_breakdown\",\n"
+          "  \"schema\": \"fig5.breakdown.v1\",\n"
+          "  \"beta\": %zu,\n  \"prover_threads\": 1,\n  \"rows\": [\n",
+          kBeta);
+  for (size_t i = 0; i < rows.size(); i++) {
+    const BreakdownRow& r = rows[i];
+    fprintf(fp,
+            "    {\"app\": \"%s\", \"field\": \"%s\", \"local_s\": %.6e, "
+            "\"solve_s\": %.6e, \"construct_u_s\": %.6e, "
+            "\"crypto_s\": %.6e, \"answer_s\": %.6e, \"e2e_s\": %.6e, "
+            "\"accepted\": %s}%s\n",
+            r.app.c_str(), r.field, r.local_s, r.solve_s, r.construct_u_s,
+            r.crypto_s, r.answer_s, r.e2e_s, r.accepted ? "true" : "false",
+            i + 1 < rows.size() ? "," : "");
+  }
+  fprintf(fp,
+          "  ],\n  \"phase_mix\": {\"construct_u\": %.4f, \"crypto\": %.4f, "
+          "\"answer\": %.4f}\n}\n",
+          u / e2e, crypto / e2e, answer / e2e);
+  fclose(fp);
+  printf("\nwrote %s\n", out_path);
   return 0;
 }
 
@@ -229,9 +281,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      fprintf(stderr, "usage: %s [--json [--out PATH]]\n", argv[0]);
+      fprintf(stderr, "usage: %s [--json] [--out PATH]\n", argv[0]);
       return 2;
     }
   }
-  return json ? zaatar::JsonMain(out_path) : zaatar::TableMain();
+  if (json) {
+    return zaatar::JsonMain(out_path);
+  }
+  return zaatar::TableMain(out_path != nullptr ? out_path
+                                               : "BENCH_fig5_breakdown.json");
 }

@@ -63,8 +63,11 @@ void JsonNumber(FILE* f, const char* key, double v, const char* suffix) {
   }
 }
 
+// `naive_term_s` is the per-term time of the reference inner-product loop,
+// measured beside each field's f_lazy.
 void WriteJson(const std::string& path, const MicroCosts& m128,
-               const MicroCosts& m220, const std::vector<JsonRow>& rows) {
+               const MicroCosts& m220, const double naive_term_s[2],
+               const std::vector<JsonRow>& rows) {
   FILE* f = fopen(path.c_str(), "w");
   if (f == nullptr) {
     fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -79,10 +82,10 @@ void WriteJson(const std::string& path, const MicroCosts& m128,
     const MicroCosts& m = *micros[i];
     fprintf(f,
             "    \"%s\": {\"e_s\": %.9g, \"d_s\": %.9g, \"h_s\": %.9g, "
-            "\"h_amortized_s\": %.9g, \"f_s\": %.9g, \"f_div_s\": %.9g, "
-            "\"c_s\": %.9g}%s\n",
-            names[i], m.e, m.d, m.h, m.h_amortized, m.f, m.f_div, m.c,
-            i == 0 ? "," : "");
+            "\"h_amortized_s\": %.9g, \"f_s\": %.9g, \"f_lazy_s\": %.9g, "
+            "\"f_lazy_naive_s\": %.9g, \"f_div_s\": %.9g, \"c_s\": %.9g}%s\n",
+            names[i], m.e, m.d, m.h, m.h_amortized, m.f, m.f_lazy,
+            naive_term_s[i], m.f_div, m.c, i == 0 ? "," : "");
   }
   fprintf(f, "  },\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); i++) {
@@ -206,6 +209,15 @@ int main(int argc, char** argv) {
          "model)\n\n");
   MicroCosts m128 = bench::MeasureMicroCosts<F128>();
   MicroCosts m220 = bench::MeasureMicroCosts<F220>();
+  const double naive_term_s[2] = {
+      bench::MeasureInnerProductTerm<F128>(/*naive=*/true),
+      bench::MeasureInnerProductTerm<F220>(/*naive=*/true)};
+  printf("inner product per term: F128 f_lazy %s (reference loop %s), "
+         "F220 f_lazy %s (reference loop %s)\n\n",
+         bench::HumanSeconds(m128.f_lazy).c_str(),
+         bench::HumanSeconds(naive_term_s[0]).c_str(),
+         bench::HumanSeconds(m220.f_lazy).c_str(),
+         bench::HumanSeconds(naive_term_s[1]).c_str());
   printf("%-38s %10s %12s %12s %12s %12s\n", "computation", "t_local",
          "V setup", "Z(meas)", "Z(model)", "G(model)");
   bench::PrintRule(110);
@@ -307,6 +319,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out_path, m128, m220, rows);
+  WriteJson(out_path, m128, m220, naive_term_s, rows);
   return 0;
 }

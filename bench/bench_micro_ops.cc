@@ -4,15 +4,18 @@
 // for the 128-bit and 220-bit field sizes, via google-benchmark.
 //
 // Paper reference values (Xeon E5540, 2009-era): e=65us d=170us h=91us
-// f=210ns fdiv=2us c=160ns (128-bit row). Absolute numbers differ on modern
-// hardware; the *ratios* (crypto ops ~ 100-1000x field ops) are the shape
-// that drives every downstream figure.
+// f_lazy=68ns f=210ns fdiv=2us c=160ns (128-bit row). Absolute numbers
+// differ on modern hardware; the *ratios* (crypto ops ~ 100-1000x field ops)
+// are the shape that drives every downstream figure.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/crypto/elgamal.h"
 #include "src/crypto/prg.h"
 #include "src/field/fields.h"
+#include "src/pcp/linear_oracle.h"
 
 namespace zaatar {
 namespace {
@@ -29,6 +32,27 @@ void BM_FieldMul_f(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul_f<F128>);
 BENCHMARK(BM_FieldMul_f<F220>);
+
+// f_lazy: one term of the lazily reduced inner product that answers
+// queries (full products summed unreduced, one reduction per answer), over
+// a cache-resident 1024-element vector. ns_per_term is the per-term cost.
+template <typename F>
+void BM_InnerProductTerm_f_lazy(benchmark::State& state) {
+  const size_t n = 1024;
+  Prg prg(8);
+  std::vector<F> a = prg.NextFieldVector<F>(n);
+  std::vector<F> b = prg.NextFieldVector<F>(n);
+  for (auto _ : state) {
+    F x = VectorOracle<F>::InnerProduct(a.data(), b.data(), n);
+    benchmark::DoNotOptimize(x);
+  }
+  state.counters["ns_per_term"] = benchmark::Counter(
+      static_cast<double>(n) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_InnerProductTerm_f_lazy<F128>);
+BENCHMARK(BM_InnerProductTerm_f_lazy<F220>);
 
 template <typename F>
 void BM_FieldAdd(benchmark::State& state) {

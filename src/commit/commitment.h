@@ -22,6 +22,7 @@
 #ifndef SRC_COMMIT_COMMITMENT_H_
 #define SRC_COMMIT_COMMITMENT_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <string>
@@ -98,16 +99,8 @@ class LinearCommitment {
     s.secrets.r = prg.NextFieldVector<F>(oracle_len);
     s.shared.enc_r =
         EG::EncryptRow(pk, s.secrets.r.data(), oracle_len, prg, workers);
-    s.secrets.alphas.reserve(queries.size());
-    s.shared.t = s.secrets.r;
-    for (const auto& q : queries) {
-      assert(q.size() == oracle_len);
-      F alpha = prg.NextField<F>();
-      s.secrets.alphas.push_back(alpha);
-      for (size_t i = 0; i < oracle_len; i++) {
-        s.shared.t[i] += alpha * q[i];
-      }
-    }
+    s.secrets.alphas = prg.NextFieldVector<F>(queries.size());
+    s.shared.t = ConsistencyVector(s.secrets.r, queries, s.secrets.alphas);
     return s;
   }
 
@@ -202,6 +195,31 @@ class LinearCommitment {
     typename EG::Zp decrypted =
         EG::DecryptToGroup(sk, pk, part.commitment);
     return decrypted == EG::GroupEmbed(pk, expected);
+  }
+
+ private:
+  // t = r + Σ_k alphas[k]·queries[k] with one wide accumulator per position
+  // of t and one reduction each; bit-identical to adding each alpha·q
+  // reduced. Positions go in blocks so their accumulators stay in L1 while
+  // every query streams its slice of the block through.
+  static std::vector<F> ConsistencyVector(
+      const std::vector<F>& r, const std::vector<std::vector<F>>& queries,
+      const std::vector<F>& alphas) {
+    constexpr size_t kBlock = 256;
+    std::vector<F> t(r.size());
+    std::vector<typename F::Wide> acc(kBlock);
+    for (size_t lo = 0; lo < r.size(); lo += kBlock) {
+      const size_t len = std::min(kBlock, r.size() - lo);
+      std::fill(acc.begin(), acc.end(), typename F::Wide());
+      for (size_t k = 0; k < queries.size(); k++) {
+        assert(queries[k].size() == r.size());
+        F::MulAddWide(acc.data(), alphas[k], queries[k].data() + lo, len);
+      }
+      for (size_t i = 0; i < len; i++) {
+        t[lo + i] = r[lo + i] + F::ReduceWide(acc[i]);
+      }
+    }
+    return t;
   }
 };
 

@@ -18,11 +18,32 @@
 #include <type_traits>
 #include <vector>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 #include "src/field/bigint.h"
 
 namespace zaatar {
 
 namespace field_internal {
+
+// *out = a + b + carry (carry 0 or 1); returns the carry out. On x86 the
+// intrinsic keeps a limb chain in adc instructions, which the __uint128_t
+// form does not reliably compile to.
+__attribute__((always_inline)) inline unsigned char AddCarry(
+    unsigned char carry, uint64_t a, uint64_t b, uint64_t* out) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  unsigned long long r = 0;
+  carry = _addcarry_u64(carry, a, b, &r);
+  *out = r;
+  return carry;
+#else
+  __uint128_t s = static_cast<__uint128_t>(a) + b + carry;
+  *out = static_cast<uint64_t>(s);
+  return static_cast<unsigned char>(s >> 64);
+#endif
+}
 
 // -p^{-1} mod 2^64 via Newton iteration (p odd).
 constexpr uint64_t NegInvModWord(uint64_t p) {
@@ -382,6 +403,83 @@ class PrimeField {
     return MontSqr(a);
   }
 
+  // ---- Lazily reduced dot products ----
+  //
+  // An unreduced sum of full 2N-limb products of Montgomery values. Each
+  // product is below p² < R², so 2N+1 limbs hold any sum of fewer than 2^64
+  // of them.
+  using Wide = BigInt<2 * kLimbs + 1>;
+
+  // Σ a[i]·b[i] with one reduction for the whole sum instead of a REDC and
+  // a modular add per term. Bit-identical to the `acc += a[i] * b[i]` loop
+  // for every config and length (tests/field_test.cc).
+  static PrimeField DotProduct(const PrimeField* a, const PrimeField* b,
+                               size_t n) {
+    Wide acc;
+    if (field_internal::HasBmi2()) {
+      DotLoopTuned(acc, a, b, n);
+    } else {
+      DotLoop(acc, a, b, n);
+    }
+    return ReduceWide(acc);
+  }
+
+  // acc[i] += a·b[i] for i < n, unreduced: DotProduct's column form, for a
+  // sum of scaled vectors kept as one accumulator per position.
+  static void MulAddWide(Wide* acc, const PrimeField& a, const PrimeField* b,
+                         size_t n) {
+    if (field_internal::HasBmi2()) {
+      ColumnLoopTuned(acc, a, b, n);
+    } else {
+      ColumnLoop(acc, a, b, n);
+    }
+  }
+
+  // The element acc·R⁻¹ mod p: the reduced sum of the products acc holds.
+  // Writing acc = c·R² + hi·R + lo (c one limb, hi and lo N limbs each),
+  // acc·R⁻¹ ≡ c·R + hi + lo·R⁻¹. CIOS MontMul lands a·b·R⁻¹ below p for any
+  // a < R once b < p, so each term is one multiply by a constant below p.
+  // A single REDC of acc would not do: its result is below acc/R + p, so
+  // once the sum passes p·R (two terms on F128, 32 maximal terms on a
+  // 59-bit modulus) one conditional subtraction no longer lands below p.
+  static PrimeField ReduceWide(const Wide& acc) {
+    constexpr size_t N = kLimbs;
+    Repr lo, hi;
+    for (size_t i = 0; i < N; i++) {
+      lo.limbs[i] = acc.limbs[i];
+      hi.limbs[i] = acc.limbs[N + i];
+    }
+    Repr r = MontMul(lo, Repr::One());
+    r = AddMod(r, MontMul(hi, kMontR), kModulus);
+    r = AddMod(r, MontMul(Repr(acc.limbs[2 * N]), kMontR2), kModulus);
+    return FromMontgomery(r);
+  }
+
+  // The generic lazy loops: out = Σ a[i]·b[i], and acc[i] += a·b[i]. They
+  // are always inlined, so each tuned copy below compiles the same body
+  // under its own target and optimization attributes.
+  __attribute__((always_inline)) static void DotLoop(Wide& out,
+                                                     const PrimeField* a,
+                                                     const PrimeField* b,
+                                                     size_t n) {
+    Wide acc;  // a local, so its limbs stay in registers across the loop
+    for (size_t i = 0; i < n; i++) {
+      MulAddTerm(acc, a[i].v_, b[i].v_);
+    }
+    out = acc;
+  }
+  __attribute__((always_inline)) static void ColumnLoop(Wide* acc,
+                                                        const PrimeField& a,
+                                                        const PrimeField* b,
+                                                        size_t n) {
+    const Repr x = a.v_;
+    for (size_t i = 0; i < n; i++) {
+      Wide w = acc[i];
+      MulAddTerm(w, x, b[i].v_);
+      acc[i] = w;
+    }
+  }
+
 #if defined(__x86_64__) && defined(__GNUC__)
   // Fused CIOS: one pass per row with two interleaved carry chains (a_i·b and
   // m·p). At default build flags this form loses to the plain CIOS, but with
@@ -477,12 +575,45 @@ class PrimeField {
     }
     return r;
   }
+
+  // The lazy loops under mulx codegen and O3 unrolling: 1.6-2x the
+  // generic loops' throughput on F128 and F220.
+  __attribute__((target("bmi2"), optimize("O3"))) static void DotLoopTuned(
+      Wide& out, const PrimeField* a, const PrimeField* b, size_t n) {
+    DotLoop(out, a, b, n);
+  }
+  __attribute__((target("bmi2"), optimize("O3"))) static void ColumnLoopTuned(
+      Wide* acc, const PrimeField& a, const PrimeField* b, size_t n) {
+    ColumnLoop(acc, a, b, n);
+  }
 #else
   static Repr MontMulTuned(const Repr& a, const Repr& b) { return MontMul(a, b); }
   static Repr MontSqrTuned(const Repr& a) { return MontSqr(a); }
+  static void DotLoopTuned(Wide& out, const PrimeField* a, const PrimeField* b,
+                           size_t n) {
+    DotLoop(out, a, b, n);
+  }
+  static void ColumnLoopTuned(Wide* acc, const PrimeField& a,
+                              const PrimeField* b, size_t n) {
+    ColumnLoop(acc, a, b, n);
+  }
 #endif
 
  private:
+  // acc += a·b: the full 2N-limb product, added without reduction. The one
+  // per-term body of every lazy loop.
+  __attribute__((always_inline)) static void MulAddTerm(Wide& acc,
+                                                        const Repr& a,
+                                                        const Repr& b) {
+    constexpr size_t N = kLimbs;
+    const BigInt<2 * N> p = a.MulWide(b);
+    unsigned char c = 0;
+    for (size_t k = 0; k < 2 * N; k++) {
+      c = field_internal::AddCarry(c, acc.limbs[k], p.limbs[k], &acc.limbs[k]);
+    }
+    acc.limbs[2 * N] += c;
+  }
+
   Repr v_{};  // Montgomery form
 };
 

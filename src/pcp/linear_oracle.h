@@ -51,7 +51,16 @@ class VectorOracle : public LinearOracle<F> {
 
   const std::vector<F>& vector() const { return u_; }
 
+  // <a, b> through the field's lazily reduced kernel: one reduction per
+  // answer, not one per term. Bit-identical to InnerProductNaive.
   static F InnerProduct(const F* a, const F* b, size_t n) {
+    return F::DotProduct(a, b, n);
+  }
+
+  // The frozen reference: a reduced multiply and a modular add per term.
+  // The differential tests compare the kernel with it and bench_fig7 times
+  // it beside f_lazy — do not optimize it.
+  static F InnerProductNaive(const F* a, const F* b, size_t n) {
     F acc = F::Zero();
     for (size_t i = 0; i < n; i++) {
       acc += a[i] * b[i];

@@ -43,25 +43,64 @@ TEST(CommitmentTest, HonestProverPassesConsistency) {
 }
 
 TEST(CommitmentTest, ResponsesAreTrueInnerProducts) {
+  // Against the frozen reference loop: Answer itself runs the lazy kernel.
   Prg prg(101);
   auto f = Fixture::Make(prg);
   for (size_t i = 0; i < f.queries.size(); i++) {
     EXPECT_EQ(f.part.responses[i],
-              VectorOracle<F>::InnerProduct(f.queries[i].data(), f.u.data(),
-                                            f.u.size()));
+              VectorOracle<F>::InnerProductNaive(f.queries[i].data(),
+                                                 f.u.data(), f.u.size()));
   }
+  EXPECT_EQ(f.part.t_response,
+            VectorOracle<F>::InnerProductNaive(f.setup.shared.t.data(),
+                                               f.u.data(), f.u.size()));
+}
+
+// t must equal r plus every alpha_k·q_k added term by term, reduced.
+template <typename Field>
+void ExpectTIsRPlusAlphaCombination(const OracleCommitSetup<Field>& setup,
+                                    const std::vector<std::vector<Field>>& qs) {
+  for (size_t i = 0; i < setup.shared.t.size(); i++) {
+    Field expect = setup.secrets.r[i];
+    for (size_t k = 0; k < qs.size(); k++) {
+      expect += setup.secrets.alphas[k] * qs[k][i];
+    }
+    ASSERT_EQ(setup.shared.t[i], expect) << Field::kName << " position " << i;
+  }
+}
+
+template <typename Field>
+OracleCommitSetup<Field> SetupWithRandomQueries(
+    Prg& prg, size_t len, size_t num_queries,
+    std::vector<std::vector<Field>>* queries) {
+  auto keys = ElGamal<Field>::GenerateKeys(prg);
+  for (size_t k = 0; k < num_queries; k++) {
+    queries->push_back(prg.NextFieldVector<Field>(len));
+  }
+  return LinearCommitment<Field>::CreateSetup(keys.pk, len, *queries, prg);
 }
 
 TEST(CommitmentTest, TVectorIsRPlusAlphaCombination) {
   Prg prg(102);
   auto f = Fixture::Make(prg);
-  for (size_t i = 0; i < f.u.size(); i++) {
-    F expect = f.setup.secrets.r[i];
-    for (size_t k = 0; k < f.queries.size(); k++) {
-      expect += f.setup.secrets.alphas[k] * f.queries[k][i];
-    }
-    EXPECT_EQ(f.setup.shared.t[i], expect);
+  ExpectTIsRPlusAlphaCombination(f.setup, f.queries);
+
+  // Lengths that span several accumulator blocks plus a partial one, on
+  // both fields.
+  std::vector<std::vector<F220>> q220;
+  ExpectTIsRPlusAlphaCombination(
+      SetupWithRandomQueries<F220>(prg, 600, 6, &q220), q220);
+
+  // On F128 (p just below R) 40 random products overflow 2N limbs, so the
+  // accumulators' top limb carries.
+  std::vector<std::vector<F>> q128;
+  auto setup = SetupWithRandomQueries<F>(prg, 600, 40, &q128);
+  ExpectTIsRPlusAlphaCombination(setup, q128);
+  typename F::Wide acc;
+  for (size_t k = 0; k < q128.size(); k++) {
+    F::MulAddWide(&acc, setup.secrets.alphas[k], q128[k].data(), 1);
   }
+  EXPECT_NE(acc.limbs[2 * F::kLimbs], 0u);
 }
 
 TEST(CommitmentTest, RejectsTamperedResponse) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "src/crypto/prg.h"
+#include "src/pcp/linear_oracle.h"
 
 namespace zaatar {
 namespace {
@@ -250,6 +254,128 @@ TYPED_TEST(FieldTest, ModulusIsPrimeMillerRabin) {
       }
     }
     EXPECT_FALSE(witness) << "modulus failed Miller-Rabin";
+  }
+}
+
+// ---- The lazily reduced dot-product kernel -------------------------------
+//
+// Besides the shipped fields, two moduli far below R (copies of residue_test's
+// synthetic fields): there a sum of maximal products passes p·R after about
+// 32 (F59) or 2048 (F245) terms, past what one subtraction after REDC fixes.
+struct F59Config {
+  static constexpr size_t kLimbs = 1;
+  static constexpr std::array<uint64_t, 1> kModulus = {0x07FFFFFFFFFFFFC9ULL};
+  static constexpr const char* kName = "F59";
+};
+using F59 = PrimeField<F59Config>;
+
+struct F245Config {
+  static constexpr size_t kLimbs = 4;
+  static constexpr std::array<uint64_t, 4> kModulus = {
+      0xFFFFFFFFFFFFFF5DULL, 0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL,
+      0x001FFFFFFFFFFFFFULL};
+  static constexpr const char* kName = "F245";
+};
+using F245 = PrimeField<F245Config>;
+
+template <typename F>
+class DotProductTest : public ::testing::Test {
+ protected:
+  // The kernel multiplies Montgomery values, so the largest operand is the
+  // element whose Montgomery form is p - 1, not the canonical p - 1.
+  static F Max() {
+    typename F::Repr m = F::kModulus;
+    m.SubInPlace(typename F::Repr(uint64_t{1}));
+    return F::FromMontgomery(m);
+  }
+
+  // Every path must equal the frozen reference loop: the dispatched kernel,
+  // the generic loop a host without BMI2 runs, and the oracle's entry point.
+  static void ExpectMatchesReference(const std::vector<F>& a,
+                                     const std::vector<F>& b,
+                                     const char* pattern) {
+    const size_t n = a.size();
+    const F expect = VectorOracle<F>::InnerProductNaive(a.data(), b.data(), n);
+    EXPECT_EQ(F::DotProduct(a.data(), b.data(), n), expect)
+        << pattern << " n=" << n;
+    typename F::Wide acc;
+    F::DotLoop(acc, a.data(), b.data(), n);
+    EXPECT_EQ(F::ReduceWide(acc), expect) << pattern << " generic n=" << n;
+    EXPECT_EQ(VectorOracle<F>::InnerProduct(a.data(), b.data(), n), expect)
+        << pattern << " oracle n=" << n;
+  }
+};
+
+using DotFieldTypes = ::testing::Types<F128, F220, FGoldilocks, F59, F245>;
+TYPED_TEST_SUITE(DotProductTest, DotFieldTypes);
+
+TYPED_TEST(DotProductTest, KernelMatchesReferenceOnEveryPatternAndLength) {
+  using F = TypeParam;
+  const F max = TestFixture::Max();
+  Prg prg(31);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                   size_t{4097}, size_t{1} << 17}) {
+    const std::vector<F> zero(n, F::Zero());
+    TestFixture::ExpectMatchesReference(zero, zero, "zero");
+    TestFixture::ExpectMatchesReference(prg.NextFieldVector<F>(n),
+                                        prg.NextFieldVector<F>(n), "random");
+    // Montgomery values p - 1 and 1 alternate: x and -x, so each pair of
+    // maximal and minimal products cancels in the field.
+    std::vector<F> alt(n);
+    for (size_t i = 0; i < n; i++) {
+      alt[i] = i % 2 == 0 ? max : -max;
+    }
+    const std::vector<F> maximal(n, max);
+    TestFixture::ExpectMatchesReference(alt, maximal, "alternating");
+    TestFixture::ExpectMatchesReference(maximal, maximal, "maximal");
+  }
+}
+
+// The column form used for the verifier's t vector: one accumulator per
+// position, a scaled vector added per call, generic and tuned loops alike.
+TYPED_TEST(DotProductTest, ColumnFormMatchesScaledSums) {
+  using F = TypeParam;
+  const F max = TestFixture::Max();
+  Prg prg(32);
+  const size_t kLen = 5;
+  const size_t kScalars = 4097;  // past F245's 2048 maximal terms
+  std::vector<typename F::Wide> tuned(kLen), generic(kLen);
+  std::vector<F> expect(kLen, F::Zero());
+  for (size_t k = 0; k < kScalars; k++) {
+    std::vector<F> b = prg.NextFieldVector<F>(kLen);
+    b[0] = max;  // position 0 sums maximal products only
+    const F a = k % 3 == 0 ? prg.NextField<F>() : max;
+    F::MulAddWide(tuned.data(), a, b.data(), kLen);
+    F::ColumnLoop(generic.data(), a, b.data(), kLen);
+    for (size_t i = 0; i < kLen; i++) {
+      expect[i] += a * b[i];
+    }
+  }
+  for (size_t i = 0; i < kLen; i++) {
+    EXPECT_EQ(tuned[i], generic[i]) << "position " << i;
+    EXPECT_EQ(F::ReduceWide(tuned[i]), expect[i]) << "position " << i;
+  }
+}
+
+// ReduceWide on accumulators no real sum reaches (all limbs saturated, only
+// the top limb set), checked against FromLimbs: the result is the element
+// whose Montgomery form is acc·R⁻¹, so its canonical value is acc·R⁻².
+TYPED_TEST(DotProductTest, ReduceWideHandlesExtremeAccumulators) {
+  using F = TypeParam;
+  using Wide = typename F::Wide;
+  const F r = F::FromCanonical(F::kMontR);
+  std::vector<Wide> cases(4);
+  for (uint64_t& limb : cases[1].limbs) {
+    limb = ~uint64_t{0};
+  }
+  cases[2].limbs[Wide::kLimbs - 1] = ~uint64_t{0};
+  Prg prg(33);
+  for (uint64_t& limb : cases[3].limbs) {
+    limb = prg.NextU64();
+  }
+  for (const Wide& acc : cases) {
+    EXPECT_EQ(F::ReduceWide(acc) * r * r,
+              F::FromLimbs(acc.limbs.data(), Wide::kLimbs));
   }
 }
 
