@@ -13,6 +13,10 @@
 // (default BENCH_protocol.json) with absolute times, overhead ratios, and
 // the bytes moved per batch.
 //
+// Both modes also time the setup-frame codec on one frame at the paper's
+// parameters (LCS m = 16, 56 MB) against the frozen reference codec, and
+// write those four times under "setup_codec".
+//
 // Usage: bench_protocol [--smoke] [--out <path>]
 //        [--recv-timeout-ms N] [--max-retries N]
 //
@@ -21,11 +25,13 @@
 // (transport_retries, transport_connections, deadline_exceeded) so a soak
 // driver can assert a healthy channel stayed healthy.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -103,6 +109,66 @@ std::vector<VerifyInstanceResult> RunInProcess(
   }
   *seconds = sw.Lap();
   return results;
+}
+
+// One setup frame through the codec and through the frozen reference
+// codec (SetupMessage::SerializeReference / DeserializeReference), best of
+// three runs each. The codec encodes straight from the verifier's setup;
+// the reference encodes a SetupMessage built before the clock starts.
+struct CodecRow {
+  size_t frame_bytes = 0;
+  double encode_s = 0;
+  double decode_s = 0;
+  double encode_ref_s = 0;
+  double decode_ref_s = 0;
+
+  double RoundTripSpeedup() const {
+    return (encode_ref_s + decode_ref_s) / (encode_s + decode_s);
+  }
+};
+
+template <typename Fn>
+double BestOfThree(Fn fn) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int run = 0; run < 3; run++) {
+    Stopwatch sw;
+    fn();
+    best = std::min(best, sw.ElapsedSeconds());
+  }
+  return best;
+}
+
+bool BenchSetupCodec(CodecRow* row) {
+  using F = F128;
+  using Msg = protocol::SetupMessage<F>;
+  using Arg = ZaatarArgument<F>;
+  auto app = MakeLcsApp(16);
+  auto program = CompileZlang<F>(app.source);
+  Qap<F> qap(program.zaatar.r1cs);
+  Prg prg(33);
+  const typename Arg::VerifierSetup setup =
+      Arg::Setup(ZaatarPcp<F>::GenerateQueries(qap, PcpParams{}, prg), prg);
+  const Msg msg = setup.ToSetupMessage();
+
+  std::vector<uint8_t> frame;
+  std::vector<uint8_t> ref_frame;
+  row->encode_s = BestOfThree([&] { frame = setup.EncodeSetupMessage(); });
+  row->encode_ref_s =
+      BestOfThree([&] { ref_frame = msg.SerializeReference(); });
+  row->frame_bytes = frame.size();
+  if (frame != ref_frame) {
+    fprintf(stderr, "FAIL: setup codec frame differs from the reference\n");
+    return false;
+  }
+  bool decoded = true;
+  row->decode_s = BestOfThree([&] { decoded &= Msg::Deserialize(frame).ok(); });
+  row->decode_ref_s = BestOfThree(
+      [&] { decoded &= Msg::DeserializeReference(frame).ok(); });
+  if (!decoded) {
+    fprintf(stderr, "FAIL: an honest setup frame did not decode\n");
+    return false;
+  }
+  return true;
 }
 
 bool VerdictsMatch(const std::vector<VerifyInstanceResult>& a,
@@ -204,7 +270,15 @@ void PrintRows(const std::vector<Row>& rows) {
   }
 }
 
-bool WriteJson(const std::string& path, const std::vector<Row>& rows) {
+void PrintCodec(const CodecRow& c) {
+  printf("\nsetup codec, LCS m=16 frame (%zu B): encode %.4f s (reference "
+         "%.4f s), decode %.4f s (reference %.4f s), round trip %.2fx\n",
+         c.frame_bytes, c.encode_s, c.encode_ref_s, c.decode_s,
+         c.decode_ref_s, c.RoundTripSpeedup());
+}
+
+bool WriteJson(const std::string& path, const std::vector<Row>& rows,
+               const CodecRow& codec) {
   FILE* f = fopen(path.c_str(), "w");
   if (f == nullptr) {
     fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -231,7 +305,13 @@ bool WriteJson(const std::string& path, const std::vector<Row>& rows) {
             static_cast<unsigned long long>(r.deadline_exceeded),
             i + 1 < rows.size() ? "," : "");
   }
-  fprintf(f, "  ]\n}\n");
+  fprintf(f,
+          "  ],\n  \"setup_codec\": {\"app\": \"lcs(16)\", "
+          "\"frame_bytes\": %zu, \"setup_encode_s\": %.9f, "
+          "\"setup_decode_s\": %.9f, \"setup_encode_ref_s\": %.9f, "
+          "\"setup_decode_ref_s\": %.9f}\n}\n",
+          codec.frame_bytes, codec.encode_s, codec.decode_s,
+          codec.encode_ref_s, codec.decode_ref_s);
   fclose(f);
   return true;
 }
@@ -287,11 +367,13 @@ int main(int argc, char** argv) {
          BenchConfig(/*lcs_size=*/8, /*beta=*/4, /*seed=*/32, trace, base_opt,
                      &rows);
   }
-  if (!ok) {
+  CodecRow codec;
+  if (!ok || !BenchSetupCodec(&codec)) {
     return 1;
   }
   PrintRows(rows);
-  if (!WriteJson(out, rows)) {
+  PrintCodec(codec);
+  if (!WriteJson(out, rows, codec)) {
     return 1;
   }
   printf("\nwrote %s\n", out.c_str());

@@ -210,10 +210,25 @@ for row in rows:
     assert row["transport_connections"] == 2, \
         f"expected one connection per run: {row}"
 print("protocol bench schema ok:", ", ".join(phase_keys + recovery_keys))
+# Perf floor: the setup-frame codec's encode + decode round trip on the
+# LCS m=16 paper-parameter frame must stay at least 1.5x faster than the
+# frozen reference codec timed in the same run (about 1.9x measured on one
+# core, 4.5x on four).
+codec = doc["setup_codec"]
+for key in ("frame_bytes", "setup_encode_s", "setup_decode_s",
+            "setup_encode_ref_s", "setup_decode_ref_s"):
+    assert codec.get(key, 0) > 0, f"setup codec {key} missing: {codec}"
+speedup = ((codec["setup_encode_ref_s"] + codec["setup_decode_ref_s"]) /
+           (codec["setup_encode_s"] + codec["setup_decode_s"]))
+assert speedup >= 1.5, \
+    f"setup codec round trip only {speedup:.2f}x over the reference: {codec}"
+print(f"setup codec floor ok: {speedup:.1f}x over the reference "
+      f"({codec['frame_bytes']} B frame)")
 EOF
   else
     grep -q '"results"' "$pjson"
     grep -q '"solve_s"' "$pjson"
+    grep -q '"setup_decode_ref_s"' "$pjson"
     grep -q '"spans"' "$ptrace"
   fi
   echo "bench smoke ok: $pjson"

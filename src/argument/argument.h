@@ -77,8 +77,20 @@ class Argument {
       return n;
     }
 
-    // The message the prover receives: public key, Enc(r), plaintext
+    // The setup frame the prover receives: public key, Enc(r), plaintext
     // queries, t. Everything in VerifierSecrets stays out by construction.
+    // Encoded straight from this setup, without a SetupMessage copy.
+    std::vector<uint8_t> EncodeSetupMessage() const {
+      using Msg = protocol::SetupMessage<F>;
+      std::array<typename Msg::OracleView, 2> views;
+      for (size_t o = 0; o < 2; o++) {
+        views[o] = {&shared[o].enc_r, &Adapter::OracleQueries(queries, o),
+                    &shared[o].t};
+      }
+      return Msg::Encode(pk, views);
+    }
+
+    // The same message as a value, for tests and benches that need one.
     protocol::SetupMessage<F> ToSetupMessage() const {
       protocol::SetupMessage<F> msg;
       msg.pk = pk;
@@ -91,8 +103,8 @@ class Argument {
     }
 
     // The honest prover's in-process view — identical content to decoding
-    // ToSetupMessage().Serialize(), without the byte round trip (tests pin
-    // the equivalence).
+    // EncodeSetupMessage(), without the byte round trip (tests pin the
+    // equivalence).
     ProverContext<F> ProverView() const {
       ProverContext<F> ctx;
       ctx.pk = pk;

@@ -298,17 +298,58 @@ class SubproductTree {
     }
   }
 
-  // 1 / m'(u_i) for every point (computed once, then cached).
+  // 1 / m'(u_i) for every point (computed once, then cached). When the
+  // points are 0, 1, .., n-1 (the QAP's), m'(j) = prod_{k != j} (j - k) =
+  // (-1)^(n-1-j) j! (n-1-j)!, so the weights take one factorial table and
+  // one inversion; any other point set evaluates m' over the tree.
   const std::vector<F>& InterpolationWeights() const {
     if (interp_weights_.empty()) {
-      Polynomial<F> deriv = Root().Derivative();
-      interp_weights_ = EvaluateAll(deriv);
-      BatchInvert(interp_weights_.data(), interp_weights_.size());
+      if (HasConsecutivePoints()) {
+        interp_weights_ = ConsecutivePointWeights(points_.size());
+      } else {
+        interp_weights_ = EvaluateAll(Root().Derivative());
+        BatchInvert(interp_weights_.data(), interp_weights_.size());
+      }
     }
     return interp_weights_;
   }
 
+  // True iff the points are exactly 0, 1, .., n-1, in that order.
+  bool HasConsecutivePoints() const {
+    F expected = F::Zero();
+    for (const F& u : points_) {
+      if (u != expected) {
+        return false;
+      }
+      expected += F::One();
+    }
+    return true;
+  }
+
  private:
+  // 1 / prod_{k != j} (j - k) = (-1)^(n-1-j) / (j! (n-1-j)!) for j < n.
+  // Field elements are canonical, so these are the derivative path's
+  // weights bit for bit.
+  static std::vector<F> ConsecutivePointWeights(size_t n) {
+    F fact = F::One();  // (n-1)!
+    for (size_t j = 2; j < n; j++) {
+      fact *= F::FromUint(j);
+    }
+    std::vector<F> inv_fact(n);  // 1 / j!
+    inv_fact[n - 1] = fact.Inverse();
+    for (size_t j = n - 1; j > 0; j--) {
+      inv_fact[j - 1] = inv_fact[j] * F::FromUint(j);
+    }
+    std::vector<F> weights(n);
+    for (size_t j = 0; j < n; j++) {
+      weights[j] = inv_fact[j] * inv_fact[n - 1 - j];
+      if ((n - 1 - j) % 2 == 1) {
+        weights[j] = -weights[j];
+      }
+    }
+    return weights;
+  }
+
   // Node polynomials at or below this coefficient count multiply faster
   // with schoolbook than with transforms (matches Polynomial's naive-mul
   // threshold).

@@ -71,7 +71,7 @@ class VerifierSession {
     if (phase_ != SessionPhase::kSetup) {
       return WrongPhase("EmitSetup", SessionPhase::kSetup, phase_);
     }
-    std::vector<uint8_t> bytes = setup_->ToSetupMessage().Serialize();
+    std::vector<uint8_t> bytes = EncodeSetup();
     setup_bytes_ = bytes.size();
     phase_ = SessionPhase::kCommit;
     return bytes;
@@ -95,7 +95,7 @@ class VerifierSession {
     if (phase_ != SessionPhase::kCommit) {
       return WrongPhase("ResendSetup", SessionPhase::kCommit, phase_);
     }
-    std::vector<uint8_t> bytes = setup_->ToSetupMessage().Serialize();
+    std::vector<uint8_t> bytes = EncodeSetup();
     ZAATAR_RETURN_IF_ERROR(transport.Send(bytes));
     return bytes.size();
   }
@@ -212,6 +212,13 @@ class VerifierSession {
   size_t proof_bytes_received() const { return proof_bytes_; }
 
  private:
+  // Encoding the frame gets its own span, so a trace separates it from the
+  // send that follows.
+  std::vector<uint8_t> EncodeSetup() const {
+    obs::Span span("verifier.encode_setup");
+    return setup_->EncodeSetupMessage();
+  }
+
   // Shared, immutable after construction: many concurrent sessions (one per
   // serve-daemon client proving the same Ψ) read one setup.
   std::shared_ptr<const typename Arg::VerifierSetup> setup_;

@@ -99,7 +99,7 @@ class TypedPsiMaterial final : public PsiMaterial {
                    std::shared_ptr<const Setup> setup, double build_seconds)
       : program_(std::move(program)),
         setup_(std::move(setup)),
-        frame_(setup_->ToSetupMessage().Serialize()),
+        frame_(setup_->EncodeSetupMessage()),
         build_seconds_(build_seconds) {}
 
   const std::vector<uint8_t>& setup_frame() const override { return frame_; }

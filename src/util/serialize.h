@@ -21,6 +21,7 @@
 #ifndef SRC_UTIL_SERIALIZE_H_
 #define SRC_UTIL_SERIALIZE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -111,6 +112,13 @@ class ByteReader {
     return Status::Ok();
   }
 
+  // Steps over n bytes without reading them.
+  Status Skip(size_t n) {
+    ZAATAR_RETURN_IF_ERROR(Require(n));
+    pos_ += n;
+    return Status::Ok();
+  }
+
   // Reads a u32 element count and validates it against the cap and the bytes
   // actually remaining (`elem_bytes` per element), so a hostile length prefix
   // fails here — before any allocation proportional to it.
@@ -170,6 +178,52 @@ StatusOr<P> GetField(ByteReader* r) {
     return OutOfRangeError("element not in canonical range");
   }
   return P::FromCanonical(canonical);
+}
+
+// Writes the 4 bytes ByteWriter::PutU32 would append.
+inline void StoreU32(uint8_t* out, uint32_t v) {
+  for (int i = 0; i < 4; i++) {
+    out[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// The same encoding on raw memory, for codecs that lay out a whole frame
+// first and fill it in place: StoreField writes exactly the P::kLimbs * 8
+// bytes PutField would append, and LoadField reads them back, returning
+// false (and leaving *out alone) when the value is not below the modulus.
+template <typename P>
+void StoreField(uint8_t* out, const P& v) {
+  const typename P::Repr canonical = v.ToCanonical();
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, canonical.limbs.data(), P::kLimbs * 8);
+  } else {
+    for (size_t i = 0; i < P::kLimbs; i++) {
+      for (size_t b = 0; b < 8; b++) {
+        out[8 * i + b] = static_cast<uint8_t>(canonical.limbs[i] >> (8 * b));
+      }
+    }
+  }
+}
+
+template <typename P>
+bool LoadField(const uint8_t* in, P* out) {
+  typename P::Repr canonical;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(canonical.limbs.data(), in, P::kLimbs * 8);
+  } else {
+    for (size_t i = 0; i < P::kLimbs; i++) {
+      uint64_t limb = 0;
+      for (size_t b = 0; b < 8; b++) {
+        limb |= static_cast<uint64_t>(in[8 * i + b]) << (8 * b);
+      }
+      canonical.limbs[i] = limb;
+    }
+  }
+  if (!(canonical < P::kModulus)) {
+    return false;
+  }
+  *out = P::FromCanonical(canonical);
+  return true;
 }
 
 template <typename P>

@@ -313,6 +313,7 @@ TEST_F(HarnessTraceTest, SpanTreeHasTheDocumentedShape) {
   EXPECT_EQ(t.CountSpans("verifier.commit_setup"), 1u);
   EXPECT_EQ(t.CountSpans("harness.draw_instances"), 1u);
   EXPECT_EQ(t.CountSpans("harness.send_setup"), 1u);
+  EXPECT_EQ(t.CountSpans("verifier.encode_setup"), 1u);
   EXPECT_EQ(t.CountSpans("prover.ingest_setup"), 1u);
   EXPECT_EQ(t.CountSpans("verifier.verify"), kBeta);
   EXPECT_EQ(t.CountSpans("prover.commit"), kBeta);
@@ -351,6 +352,9 @@ TEST_F(HarnessTraceTest, SpanTreeHasTheDocumentedShape) {
     }
     if (n.name == "qap.evaluate_at_tau") {
       EXPECT_EQ(nodes[n.parent].name, "verifier.query_gen");
+    }
+    if (n.name == "verifier.encode_setup") {
+      EXPECT_EQ(nodes[n.parent].name, "harness.send_setup");
     }
     if (n.name == "prover.commit" || n.name == "prover.answer" ||
         n.name == "prover.solve" || n.name == "prover.construct_proof" ||

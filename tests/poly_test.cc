@@ -200,5 +200,49 @@ TEST(SubproductTreeTest, RootVanishesExactlyOnPoints) {
   EXPECT_TRUE(tree.Root().LeadingCoefficient().IsOne());  // monic
 }
 
+// The closed-form weights of the points 0..n-1 against the derivation every
+// other point set takes: m'(u_i) evaluated over the tree, then inverted.
+// ComputeHNaive interpolates through these weights, so this keeps
+// qap_test's ComputeH differential independent of the closed form.
+template <typename Field>
+void ExpectClosedFormWeightsMatchDerivative(size_t n) {
+  std::vector<Field> points(n);
+  for (size_t i = 0; i < n; i++) {
+    points[i] = Field::FromUint(i);
+  }
+  SubproductTree<Field> tree(points);
+  ASSERT_TRUE(tree.HasConsecutivePoints()) << "n = " << n;
+  std::vector<Field> derived = tree.EvaluateAll(tree.Root().Derivative());
+  BatchInvert(derived.data(), derived.size());
+  EXPECT_EQ(tree.InterpolationWeights(), derived) << "n = " << n;
+}
+
+TEST(InterpolationWeightsTest, ClosedFormMatchesDerivativeOnBothFields) {
+  for (size_t n : {1, 2, 3, 31, 32, 33, 1000, 2662, 3535}) {
+    ExpectClosedFormWeightsMatchDerivative<F128>(n);
+    ExpectClosedFormWeightsMatchDerivative<F220>(n);
+  }
+}
+
+// Any other point set takes the derivative path: the shifted points 1..n
+// (whose weights happen to equal those of 0..n-1) and 0..n-1 with the last
+// point moved one step.
+TEST(InterpolationWeightsTest, OtherPointSetsTakeTheDerivativePath) {
+  const size_t n = 33;
+  std::vector<F> shifted(n);
+  std::vector<F> gapped(n);
+  for (size_t i = 0; i < n; i++) {
+    shifted[i] = F::FromUint(i + 1);
+    gapped[i] = F::FromUint(i + 1 < n ? i : i + 1);
+  }
+  for (const std::vector<F>& points : {shifted, gapped}) {
+    SubproductTree<F> tree(points);
+    EXPECT_FALSE(tree.HasConsecutivePoints());
+    std::vector<F> derived = tree.EvaluateAll(tree.Root().Derivative());
+    BatchInvert(derived.data(), derived.size());
+    EXPECT_EQ(tree.InterpolationWeights(), derived);
+  }
+}
+
 }  // namespace
 }  // namespace zaatar

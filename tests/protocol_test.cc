@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "src/field/fields.h"
 #include "src/pcp/zaatar_pcp.h"
 #include "src/testing/fault_injection.h"
+#include "src/util/parallel_for.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
@@ -97,35 +100,220 @@ void ExpectBitFlipSweepIsClean(const std::vector<uint8_t>& bytes,
   }
 }
 
+// Field-for-field equality of two setup messages.
+template <typename Field>
+::testing::AssertionResult SameSetup(const protocol::SetupMessage<Field>& a,
+                                     const protocol::SetupMessage<Field>& b) {
+  if (a.pk.g != b.pk.g || a.pk.h != b.pk.h) {
+    return ::testing::AssertionFailure() << "public keys differ";
+  }
+  for (size_t o = 0; o < 2; o++) {
+    const auto& x = a.oracles[o];
+    const auto& y = b.oracles[o];
+    if (x.queries != y.queries || x.t != y.t ||
+        x.enc_r.size() != y.enc_r.size()) {
+      return ::testing::AssertionFailure() << "oracle " << o << " differs";
+    }
+    for (size_t i = 0; i < x.enc_r.size(); i++) {
+      if (x.enc_r[i].c1 != y.enc_r[i].c1 || x.enc_r[i].c2 != y.enc_r[i].c2) {
+        return ::testing::AssertionFailure()
+               << "oracle " << o << " ciphertext " << i << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The setup codec against its frozen reference on one input: the same
+// status (code and message) or the same message, which must then re-encode
+// to exactly the input (the format carries no redundancy).
+template <typename Field>
+::testing::AssertionResult DecodersAgree(const std::vector<uint8_t>& bytes) {
+  using Msg = protocol::SetupMessage<Field>;
+  auto codec = Msg::Deserialize(bytes);
+  auto reference = Msg::DeserializeReference(bytes);
+  if (codec.ok() != reference.ok() ||
+      codec.status().ToString() != reference.status().ToString()) {
+    return ::testing::AssertionFailure()
+           << "codec " << codec.status().ToString() << ", reference "
+           << reference.status().ToString();
+  }
+  if (!codec.ok()) {
+    return ::testing::AssertionSuccess();
+  }
+  if (auto same = SameSetup(*codec, *reference); !same) {
+    return same;
+  }
+  if (codec->Serialize() != bytes) {
+    return ::testing::AssertionFailure() << "decoded non-canonically";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Runs check(i) for every i < n on all hardware threads (the cases are
+// independent) and fails with the lowest failing i's message.
+template <typename Check>
+void ExpectEveryCasePasses(size_t n, Check check) {
+  std::mutex mu;
+  size_t first_failure = n;
+  std::string why;
+  ParallelFor(n, HardwareThreads(), [&](size_t i) {
+    ::testing::AssertionResult result = check(i);
+    if (!result) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (i < first_failure) {
+        first_failure = i;
+        why = result.message();
+      }
+    }
+  });
+  EXPECT_EQ(first_failure, n) << why;
+}
+
 TEST(ProtocolMessageTest, SetupMessageRoundTripAndSweeps) {
-  // Tiny system: the sweeps decode the message once per byte/bit.
+  // Tiny system: the sweeps decode the message twice per byte/bit.
   SessionFixture f(500, /*unbound=*/4, /*constraints=*/6);
   auto msg = f.verifier.setup().ToSetupMessage();
-  auto bytes = msg.Serialize();
+  auto bytes = f.verifier.setup().EncodeSetupMessage();
+  ASSERT_LT(bytes.size(), protocol::kParallelSetupCodecBytes);
+  EXPECT_EQ(bytes, msg.SerializeReference());
+  EXPECT_EQ(bytes, msg.Serialize());
 
   auto decoded = protocol::SetupMessage<F>::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->pk.g, msg.pk.g);
-  EXPECT_EQ(decoded->pk.h, msg.pk.h);
-  for (size_t o = 0; o < 2; o++) {
-    EXPECT_EQ(decoded->oracles[o].queries, msg.oracles[o].queries);
-    EXPECT_EQ(decoded->oracles[o].t, msg.oracles[o].t);
-    ASSERT_EQ(decoded->oracles[o].enc_r.size(), msg.oracles[o].enc_r.size());
-    for (size_t i = 0; i < msg.oracles[o].enc_r.size(); i++) {
-      EXPECT_EQ(decoded->oracles[o].enc_r[i].c1, msg.oracles[o].enc_r[i].c1);
-      EXPECT_EQ(decoded->oracles[o].enc_r[i].c2, msg.oracles[o].enc_r[i].c2);
-    }
-  }
+  EXPECT_TRUE(SameSetup(*decoded, msg));
 
-  ExpectTruncationSweepRejects(bytes, [](const std::vector<uint8_t>& b) {
-    return protocol::SetupMessage<F>::Deserialize(b);
+  // Every truncation is a typed error, and every single-bit flip either
+  // fails or decodes canonically; both with the reference's outcome.
+  ExpectEveryCasePasses(bytes.size(), [&](size_t len) {
+    auto prefix = Corruptor::Truncate(bytes, len);
+    if (protocol::SetupMessage<F>::Deserialize(prefix).ok()) {
+      return ::testing::AssertionFailure()
+             << "prefix of " << len << " bytes decoded";
+    }
+    return DecodersAgree<F>(prefix) << " (prefix of " << len << " bytes)";
   });
-  ExpectBitFlipSweepIsClean(
-      bytes,
-      [](const std::vector<uint8_t>& b) {
-        return protocol::SetupMessage<F>::Deserialize(b);
-      },
-      [](const protocol::SetupMessage<F>& m) { return m.Serialize(); });
+  ExpectEveryCasePasses(bytes.size() * 8, [&](size_t bit) {
+    return DecodersAgree<F>(Corruptor::FlipBit(bytes, bit))
+           << " (bit " << bit << ")";
+  });
+}
+
+// A 272-byte frame: valid g and h, then per oracle n = 0 and 2^24 query
+// rows. The rows are empty, so bounding the row count by n element widths
+// checks nothing: the reference decoder accepts the frame and allocates
+// 2 x 2^24 empty rows (770 MB). The codec charges every row at least one
+// byte; empty rows that the frame's bytes do cover still decode.
+TEST(ProtocolMessageTest, EmptyQueryRowsCannotOutnumberTheFrameBytes) {
+  using Msg = protocol::SetupMessage<F>;
+  const auto g = ElGamal<F>::Generator();
+  auto frame = [&](uint32_t rows0, uint32_t rows1) {
+    ByteWriter w;
+    PutField(&w, g);
+    PutField(&w, g);
+    for (uint32_t rows : {rows0, rows1}) {
+      w.PutU32(0);
+      w.PutU32(rows);
+    }
+    return w.bytes();
+  };
+  const auto hostile = frame(kMaxWireVectorElements, kMaxWireVectorElements);
+  ASSERT_EQ(hostile.size(), 272u);
+  auto decoded = Msg::Deserialize(hostile);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kLengthOverflow);
+  auto ctx = ProverContext<F>::FromBytes(hostile);
+  ASSERT_FALSE(ctx.ok());
+  EXPECT_EQ(ctx.status().code(), StatusCode::kLengthOverflow);
+
+  // Oracle 0's 8 rows are covered by the 8 bytes of oracle 1's prefixes.
+  const auto covered = frame(8, 0);
+  ASSERT_TRUE(Msg::Deserialize(covered).ok());
+  EXPECT_EQ(Msg::Deserialize(covered)->oracles[0].queries.size(), 8u);
+  EXPECT_TRUE(DecodersAgree<F>(covered));
+  EXPECT_EQ(Msg::Deserialize(frame(9, 0)).status().code(),
+            StatusCode::kLengthOverflow);
+}
+
+// A frame above kParallelSetupCodecBytes, so the codec runs on threads:
+// random contents, several query rows per oracle. Its encoding must be the
+// reference's byte for byte, and its decoder must return the reference's
+// first error when errors sit in different rows and sections.
+template <typename Field>
+void ExpectThreadedCodecMatchesReference(uint64_t seed) {
+  using Msg = protocol::SetupMessage<Field>;
+  using Zp = typename Msg::Zp;
+  constexpr size_t kZp = Zp::kLimbs * 8;
+  constexpr size_t kF = Field::kLimbs * 8;
+  const size_t len[2] = {2000, 1500};
+  const size_t rows[2] = {12, 9};
+
+  Prg prg(seed);
+  Msg msg;
+  msg.pk.g = prg.NextField<Zp>();
+  msg.pk.h = prg.NextField<Zp>();
+  for (size_t o = 0; o < 2; o++) {
+    auto& oracle = msg.oracles[o];
+    for (size_t i = 0; i < len[o]; i++) {
+      oracle.enc_r.push_back({prg.NextField<Zp>(), prg.NextField<Zp>()});
+    }
+    for (size_t k = 0; k < rows[o]; k++) {
+      oracle.queries.push_back(prg.NextFieldVector<Field>(len[o]));
+    }
+    oracle.t = prg.NextFieldVector<Field>(len[o]);
+  }
+  const auto bytes = msg.SerializeReference();
+  ASSERT_GE(bytes.size(), protocol::kParallelSetupCodecBytes);
+  ASSERT_EQ(msg.Serialize(), bytes);
+  ASSERT_TRUE(DecodersAgree<Field>(bytes));
+
+  // Byte offsets of oracle 1's sections.
+  const size_t oracle1 =
+      2 * kZp + 8 + len[0] * 2 * kZp + (rows[0] + 1) * len[0] * kF;
+  const size_t enc_r1 = oracle1 + 4;
+  const size_t rows1 = enc_r1 + len[1] * 2 * kZp;
+  const size_t queries1 = rows1 + 4;
+  const size_t t1 = queries1 + rows[1] * len[1] * kF;
+  ASSERT_EQ(t1 + len[1] * kF, bytes.size());
+
+  // An out-of-range element in oracle 0's Enc(r), in oracle 1's query rows
+  // or in oracle 1's t, and a corrupt prefix, a cut t and trailing bytes
+  // after it.
+  const size_t bad_enc_r0 = 2 * kZp + 4 + 1234 * 2 * kZp + kZp;
+  const size_t bad_query1 = queries1 + (3 * len[1] + 700) * kF;
+  const size_t cut_t1 = t1 + 17 * kF + 3;
+  auto bad_element = [&](std::vector<uint8_t> b, size_t at, bool group) {
+    return group ? Corruptor::PatchBigInt(b, at, Zp::kModulus)
+                 : Corruptor::PatchBigInt(b, at, Field::kModulus);
+  };
+  const auto with_bad_query = bad_element(bytes, bad_query1, false);
+  const std::vector<std::vector<uint8_t>> cases = {
+      bad_element(bytes, bad_enc_r0, true),
+      with_bad_query,
+      Corruptor::Truncate(bytes, cut_t1),
+      Corruptor::Truncate(with_bad_query, cut_t1),
+      Corruptor::Truncate(bad_element(bytes, t1 + 16 * kF, false), cut_t1),
+      Corruptor::Truncate(bad_element(bytes, t1 + 17 * kF, false), cut_t1),
+      Corruptor::AppendGarbage(bytes, 5, prg),
+      Corruptor::AppendGarbage(with_bad_query, 5, prg),
+      Corruptor::PatchU32(bytes, rows1, 0xFFFFFFu),
+      Corruptor::PatchU32(bad_element(bytes, bad_enc_r0, true), rows1,
+                          0xFFFFFFu),
+      Corruptor::PatchU32(with_bad_query, rows1, 0xFFFFFFu),
+      Corruptor::PatchU32(bytes, enc_r1 - 4, static_cast<uint32_t>(len[1] + 1)),
+  };
+  for (size_t c = 0; c < cases.size(); c++) {
+    EXPECT_FALSE(Msg::Deserialize(cases[c]).ok()) << "case " << c;
+    EXPECT_TRUE(DecodersAgree<Field>(cases[c])) << "case " << c;
+  }
+}
+
+TEST(ProtocolMessageTest, ThreadedSetupCodecMatchesReferenceF128) {
+  ExpectThreadedCodecMatchesReference<F128>(505);
+}
+
+TEST(ProtocolMessageTest, ThreadedSetupCodecMatchesReferenceF220) {
+  ExpectThreadedCodecMatchesReference<F220>(506);
 }
 
 TEST(ProtocolMessageTest, ProofMessageRoundTripAndSweeps) {
@@ -212,8 +400,8 @@ TEST(ProtocolMessageTest, VerdictDetailIsBounded) {
 TEST(ProtocolMessageTest, ProverContextFromBytesMatchesProverView) {
   SessionFixture f(502, /*unbound=*/4, /*constraints=*/6);
   auto view = f.verifier.setup().ProverView();
-  auto from_bytes = ProverContext<F>::FromBytes(
-      f.verifier.setup().ToSetupMessage().Serialize());
+  auto from_bytes =
+      ProverContext<F>::FromBytes(f.verifier.setup().EncodeSetupMessage());
   ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
   EXPECT_EQ(from_bytes->pk.g, view.pk.g);
   EXPECT_EQ(from_bytes->pk.h, view.pk.h);
