@@ -1,4 +1,5 @@
-// Typed symbolic values manipulated by the evaluator.
+// Scalar values of the constraint domain (evaluator.h); arrays of them are
+// the walker's ZlangValue (walker.h).
 //
 // Integers are field elements with a tracked magnitude bound: |v| < 2^width.
 // Widths grow through arithmetic (add: +1 bit, mul: sum) and gate the
@@ -18,8 +19,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <variant>
-#include <vector>
 
 #include "src/constraints/linear_combination.h"
 
@@ -69,44 +68,6 @@ template <typename F>
 struct RatVal {
   IntVal<F> num;
   IntVal<F> den;  // positive by construction
-
-  static RatVal FromInt(const IntVal<F>& v) {
-    RatVal r;
-    r.num = v;
-    r.den = IntVal<F>::Constant(1);
-    return r;
-  }
-};
-
-template <typename F>
-struct Value;
-
-template <typename F>
-struct ArrayVal {
-  std::vector<size_t> dims;       // outermost first
-  std::vector<Value<F>> elems;    // row-major, dims product elements
-};
-
-template <typename F>
-struct Value {
-  std::variant<IntVal<F>, BoolVal<F>, RatVal<F>, ArrayVal<F>> v;
-
-  Value() : v(IntVal<F>::Constant(0)) {}
-  Value(IntVal<F> x) : v(std::move(x)) {}          // NOLINT(runtime/explicit)
-  Value(BoolVal<F> x) : v(std::move(x)) {}         // NOLINT(runtime/explicit)
-  Value(RatVal<F> x) : v(std::move(x)) {}          // NOLINT(runtime/explicit)
-  Value(ArrayVal<F> x) : v(std::move(x)) {}        // NOLINT(runtime/explicit)
-
-  bool IsInt() const { return std::holds_alternative<IntVal<F>>(v); }
-  bool IsBool() const { return std::holds_alternative<BoolVal<F>>(v); }
-  bool IsRational() const { return std::holds_alternative<RatVal<F>>(v); }
-  bool IsArray() const { return std::holds_alternative<ArrayVal<F>>(v); }
-
-  const IntVal<F>& AsInt() const { return std::get<IntVal<F>>(v); }
-  const BoolVal<F>& AsBool() const { return std::get<BoolVal<F>>(v); }
-  const RatVal<F>& AsRational() const { return std::get<RatVal<F>>(v); }
-  const ArrayVal<F>& AsArray() const { return std::get<ArrayVal<F>>(v); }
-  ArrayVal<F>& AsArray() { return std::get<ArrayVal<F>>(v); }
 };
 
 }  // namespace zaatar

@@ -130,11 +130,15 @@ class ExprGen {
       }
       default: {  // shifts by a static amount
         auto a = Gen(depth - 1, budget - 4);
-        size_t k = prg_->NextBounded(4);
         if (prg_->NextBool()) {
+          size_t k = prg_->NextBounded(4);
           return {"(" + a.first + " << " + std::to_string(k) + ")",
                   a.second + k};
         }
+        // Three right shifts in four go by 56-70 bits, across the 64-bit
+        // boundary where a static operand's fold must floor to 0 or -1.
+        size_t k = prg_->NextBounded(4) == 0 ? prg_->NextBounded(56)
+                                             : 56 + prg_->NextBounded(15);
         return {"(" + a.first + " >> " + std::to_string(k) + ")", a.second};
       }
     }
@@ -162,8 +166,9 @@ class ExprGen {
 
 }  // namespace fuzz_internal
 
-// Generates a random well-formed, total zlang program. Value widths stay
-// under 110 bits so F128 (kMaxWidth = 124) compiles every case.
+// Generates a random well-formed, total zlang program. Tracked widths are
+// upper bounds on the compiler's and never exceed the 100-bit budget, so
+// F128 (kMaxWidth = 124) compiles every case.
 inline ZlangFuzzCase GenerateZlangCase(Prg& prg, size_t case_id) {
   using fuzz_internal::ExprGen;
   using fuzz_internal::GenVar;
@@ -210,24 +215,31 @@ inline ZlangFuzzCase GenerateZlangCase(Prg& prg, size_t case_id) {
         t.width = t.width > w ? t.width : w;
         break;
       }
-      case 1: {  // bounded accumulation loop
-        auto e = gen.Gen(2, kBudget - 8);
-        std::string loop = "k" + std::to_string(s);
-        c.stmts.push_back("for " + loop + " in 0..2 { " + t.name + " = " +
-                          t.name + " + " + e.first + " + " + loop + "; }");
-        size_t w = (t.width > e.second ? t.width : e.second) + 4;
-        t.width = w;
-        break;
-      }
+      case 1:  // bounded accumulation loop, while the temp has room
+        if (t.width + 4 <= kBudget) {
+          // The body's expression never reads the accumulator: if it did,
+          // its width would compound on every unrolled iteration.
+          std::vector<GenVar> others;
+          for (const GenVar& v : vars) {
+            if (v.name != t.name) {
+              others.push_back(v);
+            }
+          }
+          ExprGen body_gen(&prg, &others);
+          auto e = body_gen.Gen(2, kBudget - 8);
+          std::string loop = "k" + std::to_string(s);
+          c.stmts.push_back("for " + loop + " in 0..2 { " + t.name + " = " +
+                            t.name + " + " + e.first + " + " + loop + "; }");
+          t.width = (t.width > e.second ? t.width : e.second) + 4;
+          break;
+        }
+        [[fallthrough]];
       default: {  // plain assignment
         auto e = gen.Gen(3, kBudget);
         c.stmts.push_back(t.name + " = " + e.first + ";");
         t.width = e.second;
         break;
       }
-    }
-    if (t.width > kBudget) {
-      t.width = kBudget;  // widths are bounds; the budget caps growth
     }
   }
   for (size_t i = 0; i < num_outputs; i++) {
