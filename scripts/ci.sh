@@ -434,6 +434,10 @@ fi
 if [[ -z "$ONLY" || "$ONLY" == "undefined" ]]; then
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
     run_config ubsan build-ubsan undefined
+  # UBSan is the sanitizer that flags out-of-range shifts in static folds.
+  echo "==== [equiv] differential fuzz (UBSan, 200 iters) ===="
+  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" ZAATAR_FUZZ_ITERS=200 \
+    watchdog ./build-ubsan/tests/equiv_fuzz_test
 fi
 
 # TSan covers the worker-pool code paths (ParallelFor and the multiexp

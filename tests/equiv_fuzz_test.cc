@@ -5,7 +5,7 @@
 // shrunk reproducer and its separating input vector.
 //
 // Iteration count defaults to 40 and is overridable via ZAATAR_FUZZ_ITERS
-// (scripts/ci.sh runs 200 under ASan).
+// (scripts/ci.sh runs 200 under ASan and under UBSan).
 
 #include <cstdio>
 #include <cstdlib>

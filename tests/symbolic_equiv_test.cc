@@ -452,6 +452,63 @@ y = a < b ? a : b;
   EXPECT_TRUE(EquivStatusIsProof(r.status));
 }
 
+// A static `>>` by 64 bits or more floors to 0 on both sides of the check,
+// so the verdict is proof-grade.
+TEST(SymbolicEquivTest, WideStaticRightShiftProves) {
+  EquivResult r = ProveEquivalence<F>(R"(
+program wide_shift;
+input int<8> a;
+output int<16> y;
+y = a + (1000 >> 66);
+)");
+  EXPECT_TRUE(EquivStatusIsProof(r.status))
+      << EquivStatusName(r.status) << ": " << r.detail;
+}
+
+// Each side picks arms from its own static values (DESIGN.md §14, Known
+// limits). The compiler calls `q == q` static because the difference of
+// its linear combinations is 0, and compiles the then arm alone. The
+// checker's q is a mux over an opaque comparison, so it merges both arms
+// and the program side leaves the polynomial fragment. Still proof-grade.
+TEST(SymbolicEquivTest, ConditionStaticOnlyToTheCompilerStaysProofGrade) {
+  const std::string prefix = R"(
+program same_q;
+input int<8> a;
+input int<8> b;
+output int<20> y;
+var int<2> q;
+q = (a < b) ? 1 : 0;
+)";
+  const std::string source =
+      prefix + "if (q == q) { y = a * b; } else { y = a; }\n";
+  EXPECT_EQ(CompileZlang<F>(source).CGinger(),
+            CompileZlang<F>(prefix + "y = a * b;\n").CGinger());
+  EXPECT_FALSE(SymEval<F>::Run(Parse(source)).AllValid());
+  EquivResult r = ProveEquivalence<F>(source);
+  EXPECT_TRUE(EquivStatusIsProof(r.status))
+      << EquivStatusName(r.status) << ": " << r.detail;
+}
+
+// The reverse: the checker's polynomial difference a·b − b·a is 0, so it
+// takes the then arm alone, while the compiler's two product variables
+// differ and it compiles both arms. Still proof-grade.
+TEST(SymbolicEquivTest, ConditionStaticOnlyToTheCheckerStaysProofGrade) {
+  const std::string prefix = R"(
+program commuted;
+input int<8> a;
+input int<8> b;
+output int<20> y;
+)";
+  const std::string source =
+      prefix + "if (a * b == b * a) { y = a + 1; } else { y = b; }\n";
+  EXPECT_GT(CompileZlang<F>(source).CGinger(),
+            CompileZlang<F>(prefix + "y = a + 1;\n").CGinger());
+  EXPECT_TRUE(SymEval<F>::Run(Parse(source)).AllValid());
+  EquivResult r = ProveEquivalence<F>(source);
+  EXPECT_TRUE(EquivStatusIsProof(r.status))
+      << EquivStatusName(r.status) << ": " << r.detail;
+}
+
 // The analysis_test example programs must never be flagged: each reaches a
 // proof-grade verdict (algebraic, exhaustive, or consistent).
 TEST(SymbolicEquivTest, ExampleProgramsReachProofGradeVerdicts) {
