@@ -22,8 +22,11 @@ template <typename F>
 void Validate(const App<F>& app, const PcpParams& params,
               const MicroCosts& micro) {
   auto program = CompileZlang<F>(app.source);
-  auto m = MeasureZaatarBatch(app, program, 2, params, /*seed=*/5,
-                              /*measure_native=*/false);
+  MeasureOptions opt;
+  opt.measure_native = false;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, 2, params,
+                                                    /*seed=*/5, opt);
   CostModel model(micro, params);
   printf("\n%s  (|C_zaatar|=%zu, |u|=%zu)\n", app.name.c_str(),
          m.stats.c_zaatar, m.stats.ZaatarProofLen());

@@ -26,7 +26,10 @@ template <typename F>
 void Row(const App<F>& app, const PcpParams& params, const MicroCosts& micro,
          size_t beta) {
   auto program = CompileZlang<F>(app.source);
-  auto m = MeasureZaatarBatch(app, program, beta, params, /*seed=*/42);
+  MeasureOptions opt;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, beta, params,
+                                                    /*seed=*/42, opt);
   CostModel model(micro, params);
   double zaatar_measured = m.prover.Total();
   double ginger_model = model.GingerProverPerInstance(m.stats);
@@ -73,7 +76,10 @@ int main() {
     PcpParams light = PcpParams::Light();
     auto app = MakeLcsApp(3);
     auto program = CompileZlang<F128>(app.source);
-    auto g = MeasureGingerBatch(app, program, 1, light, 43);
+    MeasureOptions opt;
+    opt.prover_threads = 1;
+    auto g = MeasureBatch<F128, GingerHarnessBackend<F128>>(app, program, 1,
+                                                            light, 43, opt);
     CostModel model(m128, light);
     double predicted = model.GingerIssueResponses(g.stats);
     double measured = g.prover.crypto_s + g.prover.answer_queries_s;

@@ -45,7 +45,10 @@ struct BreakdownRow {
 template <typename F>
 BreakdownRow Row(const App<F>& app, const PcpParams& params, size_t beta) {
   auto program = CompileZlang<F>(app.source);
-  auto m = MeasureZaatarBatch(app, program, beta, params, /*seed=*/7);
+  MeasureOptions opt;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, beta, params,
+                                                    /*seed=*/7, opt);
   BreakdownRow r;
   r.app = app.name;
   r.field = F::kName;

@@ -36,8 +36,11 @@ double ProvingWall(const obs::Tracer& trace) {
 template <typename F>
 void SpeedupTable(const App<F>& app, const PcpParams& params, size_t beta) {
   auto program = CompileZlang<F>(app.source);
-  auto m = MeasureZaatarBatch(app, program, 2, params, /*seed=*/11,
-                              /*measure_native=*/false);
+  MeasureOptions opt;
+  opt.measure_native = false;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, 2, params,
+                                                    /*seed=*/11, opt);
   printf("\n%s  (beta = %zu, measured per-instance prover %s)\n",
          app.name.c_str(), beta,
          bench::HumanSeconds(m.prover.Total()).c_str());

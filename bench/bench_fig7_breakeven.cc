@@ -113,7 +113,10 @@ template <typename F>
 void Row(const App<F>& app, const PcpParams& params, const MicroCosts& micro,
          std::vector<JsonRow>* out) {
   auto program = CompileZlang<F>(app.source);
-  auto m = MeasureZaatarBatch(app, program, 2, params, /*seed=*/21);
+  MeasureOptions opt;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, 2, params,
+                                                    /*seed=*/21, opt);
   double setup = m.query_generation_s + m.commit_setup_s;
   double zaatar_measured = CostModel::BreakevenBatch(
       setup, m.verifier_per_instance_s, m.stats.t_local_s);

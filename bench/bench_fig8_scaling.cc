@@ -23,8 +23,11 @@ void Series(const std::string& label,
   double prev_z = 0, prev_g = 0;
   for (const auto& app : apps) {
     auto program = CompileZlang<F>(app.source);
-    auto m = MeasureZaatarBatch(app, program, 1, params, /*seed=*/31,
-                                /*measure_native=*/false);
+    MeasureOptions opt;
+    opt.measure_native = false;
+    opt.prover_threads = 1;
+    auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, 1, params,
+                                                      /*seed=*/31, opt);
     double z = m.prover.Total();
     double g = model.GingerProverPerInstance(m.stats);
     char zg[16] = "-", gg[16] = "-";

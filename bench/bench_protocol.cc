@@ -1,8 +1,8 @@
 // Measures what the message-driven session layer costs on top of the raw
 // argument: the same batch is run three ways at equal seeds —
 //
-//   in-process: the pre-refactor path (Argument API directly, no
-//               serialization, no threads),
+//   in-process: Commit + Answer + VerifyInstanceDetailed called directly
+//               (no serialization, no threads),
 //   loopback:   ProverSession/VerifierSession exchanging serialized frames
 //               over the in-memory loopback transport (two threads),
 //   socketpair: the same sessions over a real AF_UNIX socketpair with
@@ -75,16 +75,18 @@ struct Row {
   }
 };
 
-// The pre-refactor path: same Prg consumption order as MeasureBatch
-// (queries -> keys -> commit setup -> instances), then prove/verify in one
-// address space with no serialization. Returns the verdicts for the
-// cross-path comparison.
+// The path that serializes nothing: same Prg consumption order as
+// MeasureBatch (queries -> keys -> commit setup -> instances), then each
+// proof built with Commit + Answer and decided by VerifyInstanceDetailed in
+// one address space, as vcbench's stage walk does. Returns the verdicts for
+// the cross-path comparison, or an empty vector if the prover refused.
 template <typename F>
 std::vector<VerifyInstanceResult> RunInProcess(
     const App<F>& app, const CompiledProgram<F>& program, size_t beta,
     const PcpParams& params, uint64_t seed, double* seconds) {
   using Backend = ZaatarHarnessBackend<F>;
-  using Arg = Argument<F, typename Backend::Adapter>;
+  using Adapter = typename Backend::Adapter;
+  using Arg = Argument<F, Adapter>;
 
   Stopwatch sw;
   Prg prg(seed);
@@ -102,7 +104,20 @@ std::vector<VerifyInstanceResult> RunInProcess(
   for (size_t i = 0; i < beta; i++) {
     std::vector<F> gw = program.SolveGinger(instances[i].inputs);
     auto vectors = Backend::BuildProofVectors(prep, program, gw);
-    auto proof = Arg::Prove({&vectors.first, &vectors.second}, setup);
+    const std::vector<F>* u[2] = {&vectors.first, &vectors.second};
+    typename Arg::InstanceProof proof;
+    for (size_t o = 0; o < 2; o++) {
+      auto commitment =
+          LinearCommitment<F>::Commit(*u[o], setup.shared[o].enc_r);
+      if (!commitment.ok() ||
+          !LinearCommitment<F>::Answer(*u[o],
+                                       Adapter::OracleQueries(setup.queries, o),
+                                       setup.shared[o].t, &proof.parts[o])
+               .ok()) {
+        return {};
+      }
+      proof.parts[o].commitment = *commitment;
+    }
     std::vector<F> bound = program.BoundValues(
         instances[i].inputs, instances[i].expected_outputs);
     results.push_back(Arg::VerifyInstanceDetailed(setup, proof, bound));

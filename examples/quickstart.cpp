@@ -2,9 +2,14 @@
 //
 //   1. Write the computation in zlang.
 //   2. Compile it to constraints (both encodings come back).
-//   3. Verifier: generate PCP queries + commitment setup for a batch.
-//   4. Prover: solve the constraints, build the (z, h) proof, commit, answer.
-//   5. Verifier: check commitment consistency + the PCP decision.
+//   3. Verifier: generate PCP queries + commitment setup for a batch, and
+//      frame it for the prover.
+//   4. Prover: rebuild the setup from those bytes; per instance, solve the
+//      constraints, build the (z, h) proof, commit, answer.
+//   5. Verifier: check commitment consistency + the PCP decision, and send
+//      the verdict back.
+//
+// Only serialized protocol messages pass between the two sessions.
 
 #include <cstdio>
 
@@ -43,11 +48,19 @@ y = best;
   Prg prg(2013);
   Qap<F> qap(program.zaatar.r1cs);
   PcpParams params;  // rho_lin=20, rho=8: soundness error < 1e-6
-  auto queries = ZaatarPcp<F>::GenerateQueries(qap, params, prg);
-  auto setup = ZaatarArgument<F>::Setup(std::move(queries), prg);
+  protocol::VerifierSession<F, ZaatarAdapter<F>> verifier(
+      ZaatarPcp<F>::GenerateQueries(qap, params, prg), prg);
+  auto setup_frame = verifier.EmitSetup();
   printf("verifier setup done (%zu queries, ElGamal over a 1024-bit "
-         "group)\n",
-         setup.queries.TotalQueryCount());
+         "group): setup frame %zu bytes\n",
+         verifier.setup().queries.TotalQueryCount(), setup_frame->size());
+
+  // The prover knows the batch only from the setup frame's bytes.
+  protocol::ProverSession<F> prover;
+  if (Status st = prover.IngestSetup(*setup_frame); !st.ok()) {
+    printf("prover setup: %s\n", st.ToString().c_str());
+    return 1;
+  }
 
   // Steps 4-5: run a small batch of instances.
   for (int instance = 0; instance < 3; instance++) {
@@ -55,20 +68,31 @@ y = best;
     for (int i = 0; i < 8; i++) {
       inputs.push_back(EncodeSignedInt<F>((instance + 2) * i - 5));
     }
-    // Prover executes the computation, obtaining the witness and outputs.
+    // Prover executes the computation, obtaining the witness and outputs,
+    // then commits and answers in one proof frame.
     auto ginger_w = program.SolveGinger(inputs);
     auto outputs = program.ExtractOutputs(ginger_w);
     auto zaatar_w = program.SolveZaatar(ginger_w);
     auto proof = BuildZaatarProof(qap, zaatar_w);
-    auto instance_proof =
-        ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
+    if (Status st = prover.Commit({&proof.z, &proof.h}); !st.ok()) {
+      printf("prover: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    auto proof_frame = prover.Decommit();
+    if (!proof_frame.ok()) {
+      printf("prover: %s\n", proof_frame.status().ToString().c_str());
+      return 1;
+    }
 
-    // Verifier checks the claimed output.
+    // Verifier checks the claimed output and answers with a verdict frame.
     auto bound = program.BoundValues(inputs, outputs);
-    bool ok = ZaatarArgument<F>::VerifyInstance(setup, instance_proof, bound);
-    printf("instance %d: claimed y = %lld -> %s\n", instance,
-           static_cast<long long>(DecodeSignedInt<F>(outputs[0])),
-           ok ? "ACCEPTED" : "REJECTED");
+    auto result = verifier.HandleProof(*proof_frame, bound);
+    auto verdict_frame = verifier.EmitVerdict();
+    bool ok = result.ok() && result->accepted() && verdict_frame.ok() &&
+              prover.IngestVerdict(*verdict_frame).ok();
+    printf("instance %d: claimed y = %lld, proof frame %zu bytes -> %s\n",
+           instance, static_cast<long long>(DecodeSignedInt<F>(outputs[0])),
+           proof_frame->size(), ok ? "ACCEPTED" : "REJECTED");
     if (!ok) {
       return 1;
     }

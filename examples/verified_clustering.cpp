@@ -20,7 +20,10 @@ int main() {
   printf("compiled: %zu constraints (quadratic form), proof length %zu\n\n",
          program.CZaatar(), program.UZaatar());
 
-  auto m = MeasureZaatarBatch(app, program, kBatch, PcpParams{}, /*seed=*/77);
+  MeasureOptions opt;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F128, ZaatarHarnessBackend<F128>>(
+      app, program, kBatch, PcpParams{}, /*seed=*/77, opt);
   if (!m.all_accepted) {
     printf("** a proof was rejected — this should never happen honestly\n");
     return 1;
@@ -48,10 +51,9 @@ int main() {
            "computing it; outsourcing pays for bigger jobs)\n");
   }
 
-  // Network accounting (the other side of the ledger).
-  size_t field_bytes = F128::kLimbs * 8;
-  printf("  network: setup %zu KiB + per instance %zu KiB\n",
-         NetworkCosts::SetupBytes(m.proof_len, field_bytes) / 1024,
-         NetworkCosts::InstanceBytes(m.total_queries, field_bytes) / 1024);
+  // Network accounting (the other side of the ledger): the frames the
+  // batch sent.
+  printf("  network: setup frame %zu KiB + proof frame %zu KiB per instance\n",
+         m.setup_message_bytes / 1024, m.proof_message_bytes / kBatch / 1024);
   return 0;
 }

@@ -1,7 +1,7 @@
 // Verified all-pairs shortest paths with rational edge weights — the
 // benchmark exercising Zaatar's primitive floating-point support (fixed-point
 // rounding gadgets, cross-multiplying comparisons). Shows the decoded
-// distances next to verification.
+// distances next to verification, and the size of each protocol frame.
 
 #include <cstdio>
 
@@ -18,8 +18,19 @@ int main() {
 
   Prg prg(31337);
   Qap<F128> qap(program.zaatar.r1cs);
-  auto setup = ZaatarArgument<F128>::Setup(
+  protocol::VerifierSession<F128, ZaatarAdapter<F128>> verifier(
       ZaatarPcp<F128>::GenerateQueries(qap, PcpParams{}, prg), prg);
+  protocol::ProverSession<F128> prover;
+  {
+    // The setup frame carries every query row in plaintext, so it is by far
+    // the largest message; the prover keeps only what it decodes.
+    auto setup_frame = verifier.EmitSetup();
+    printf("setup frame: %.1f MB\n", setup_frame->size() / 1e6);
+    if (Status st = prover.IngestSetup(*setup_frame); !st.ok()) {
+      printf("prover setup: %s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
 
   auto instance = app.make_instance(prg);
   auto ginger_w = program.SolveGinger(instance.inputs);
@@ -33,9 +44,19 @@ int main() {
 
   auto zaatar_w = program.SolveZaatar(ginger_w);
   auto proof = BuildZaatarProof(qap, zaatar_w);
-  auto ip = ZaatarArgument<F128>::Prove({&proof.z, &proof.h}, setup);
-  bool ok = ZaatarArgument<F128>::VerifyInstance(
-      setup, ip, program.BoundValues(instance.inputs, outputs));
+  if (Status st = prover.Commit({&proof.z, &proof.h}); !st.ok()) {
+    printf("prover: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  auto proof_frame = prover.Decommit();
+  if (!proof_frame.ok()) {
+    printf("prover: %s\n", proof_frame.status().ToString().c_str());
+    return 1;
+  }
+  printf("proof frame: %zu bytes\n", proof_frame->size());
+  auto result = verifier.HandleProof(
+      *proof_frame, program.BoundValues(instance.inputs, outputs));
+  bool ok = result.ok() && result->accepted();
   printf("verifier: %s\n", ok ? "ACCEPTED" : "REJECTED");
   if (!ok) {
     return 1;

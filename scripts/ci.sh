@@ -260,21 +260,31 @@ for expected in ["harness.batch", "verifier.query_gen", "prover.commit",
                  "prover.answer", "verifier.verify", "transport.send"]:
     assert expected in names, f"span {expected} missing from trace"
 assert doc["counters"].get("verdict.ACCEPT", 0) >= 1, "no accepting verdicts"
-assert "transport.frame_bytes" in doc["histograms"], "frame histogram missing"
-# The summed name is kept for compatibility; the per-direction split must
-# also be present (transport.h RecordFrameSent/Received).
+# transport.h records one byte histogram per direction. The one process runs
+# both endpoints, so it receives every frame it sends.
 for split in ("transport.frame_bytes_sent", "transport.frame_bytes_received"):
     assert split in doc["histograms"], f"{split} histogram missing"
-sent = doc["histograms"]["transport.frame_bytes_sent"]["count"]
-received = doc["histograms"]["transport.frame_bytes_received"]["count"]
-total = doc["histograms"]["transport.frame_bytes"]["count"]
-assert sent + received == total, \
-    f"frame split inconsistent: {sent} + {received} != {total}"
+sent = doc["histograms"]["transport.frame_bytes_sent"]
+received = doc["histograms"]["transport.frame_bytes_received"]
+for key in ("count", "sum"):
+    assert sent[key] == received[key] > 0, \
+        f"frames sent and received disagree in {key}: {sent} vs {received}"
 print(f"trace smoke ok: {len(names)} distinct span names")
 EOF
   else
     grep -q '"harness.batch"' "$tjson"
   fi
+}
+
+examples_stage() {
+  # The examples drive the two sessions end to end; each is deterministic
+  # and exits nonzero on a crash or an unexpected verdict.
+  local build_dir="$1"
+  for example in quickstart cheating_prover verified_clustering \
+                 verified_shortest_paths; do
+    echo "==== [examples] $example ===="
+    watchdog "$build_dir/examples/$example"
+  done
 }
 
 serve_stage() {
@@ -414,6 +424,7 @@ clang_tidy_gate() {
 
 if [[ "$SKIP_PLAIN" -eq 0 && -z "$ONLY" ]]; then
   run_config plain build ""
+  examples_stage build
   lint_gate build
   equiv_gate build
   clang_tidy_gate build

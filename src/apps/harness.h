@@ -6,12 +6,12 @@
 // the calling thread, the prover session on a dedicated thread (proving the
 // instances on a pool of its own, see MeasureOptions::prover_threads), and
 // the only thing that crosses between them is serialized protocol messages
-// over a Transport (in-memory loopback by default, a socketpair via
-// `links`). Every benchmark and test therefore exercises the same byte-level
-// boundary a networked deployment would. The Prg consumption order (queries
-// -> keys -> commitment setup -> instances) matches the old in-process
-// harness exactly, so accept/reject outcomes are bit-identical to it at
-// equal seeds.
+// over a Transport (in-memory loopback by default, a socketpair with
+// MeasureOptions::link). Every benchmark and test therefore exercises the
+// same byte-level boundary a networked deployment would. The Prg consumption
+// order is queries -> keys -> commitment setup -> instances, and proving and
+// verifying draw nothing, so a reference that calls the layers directly in
+// that order reaches the same verdicts at equal seeds.
 
 #ifndef SRC_APPS_HARNESS_H_
 #define SRC_APPS_HARNESS_H_
@@ -230,12 +230,6 @@ struct MeasureOptions {
       uint32_t connection)>
       wrap_transport;
 
-  // Legacy escape hatch: run over caller-owned, already-connected endpoints
-  // (left = verifier, right = prover). Reconnection is impossible on such a
-  // channel, so a transport failure consumes the retry budget immediately;
-  // both endpoints are closed when the batch ends.
-  protocol::TransportPair* preconnected = nullptr;
-
   // Threads the prover proves with (ProverSession::ProveBatch): up to this
   // many instances at once, leftover threads shared by each instance's
   // kernels. The wire traffic is byte-identical for every value. 0 means one
@@ -303,9 +297,9 @@ BatchMeasurement MeasureBatch(const App<F>& app,
     out.commit_setup_s = verifier.setup().costs.commit_setup_s;
 
     // Instances are drawn before the exchange starts so the Prg consumption
-    // order matches the old in-process harness (proving and verifying never
-    // touch the Prg, so the streams are identical either way) and the prover
-    // thread shares them read-only.
+    // order is fixed (proving and verifying never touch the Prg, so the
+    // in-process references in harness_test and bench_protocol draw the
+    // same streams) and the prover thread shares them read-only.
     std::vector<AppInstance<F>> instances;
     instances.reserve(beta);
     {
@@ -417,41 +411,25 @@ BatchMeasurement MeasureBatch(const App<F>& app,
     // right end to a fresh prover thread resuming at `resume`, and returns
     // the left end to the verifier.
     uint32_t connection_ordinal = 0;
-    protocol::TransportFactory factory;
-    if (opt.preconnected != nullptr) {
-      protocol::TransportPair* links = opt.preconnected;
-      factory = [&, links](uint32_t resume)
-          -> StatusOr<std::unique_ptr<protocol::Transport>> {
-        if (connection_ordinal++ > 0) {
-          return TruncatedError(
-              "preconnected transport cannot be re-established");
-        }
-        spawn(resume,
-              std::make_unique<protocol::TransportRef>(links->right.get()));
-        return std::unique_ptr<protocol::Transport>(
-            std::make_unique<protocol::TransportRef>(links->left.get()));
-      };
-    } else {
-      factory = [&](uint32_t resume)
-          -> StatusOr<std::unique_ptr<protocol::Transport>> {
-        protocol::TransportPair pair;
-        if (opt.link == MeasureOptions::Link::kSocketpair) {
-          ZAATAR_ASSIGN_OR_RETURN(
-              pair, protocol::PipeTransport::CreatePair(opt.transport));
-        } else {
-          pair = protocol::MakeLoopbackPair(opt.transport);
-        }
-        const uint32_t ordinal = connection_ordinal++;
-        if (opt.wrap_transport) {
-          pair.left = opt.wrap_transport(std::move(pair.left),
-                                         /*verifier_side=*/true, ordinal);
-          pair.right = opt.wrap_transport(std::move(pair.right),
-                                          /*verifier_side=*/false, ordinal);
-        }
-        spawn(resume, std::move(pair.right));
-        return std::move(pair.left);
-      };
-    }
+    protocol::TransportFactory factory = [&](uint32_t resume)
+        -> StatusOr<std::unique_ptr<protocol::Transport>> {
+      protocol::TransportPair pair;
+      if (opt.link == MeasureOptions::Link::kSocketpair) {
+        ZAATAR_ASSIGN_OR_RETURN(
+            pair, protocol::PipeTransport::CreatePair(opt.transport));
+      } else {
+        pair = protocol::MakeLoopbackPair(opt.transport);
+      }
+      const uint32_t ordinal = connection_ordinal++;
+      if (opt.wrap_transport) {
+        pair.left = opt.wrap_transport(std::move(pair.left),
+                                       /*verifier_side=*/true, ordinal);
+        pair.right = opt.wrap_transport(std::move(pair.right),
+                                        /*verifier_side=*/false, ordinal);
+      }
+      spawn(resume, std::move(pair.right));
+      return std::move(pair.left);
+    };
 
     protocol::BackoffPolicy backoff = opt.backoff;
     if (backoff.jitter_seed == 0) {
@@ -541,65 +519,6 @@ BatchMeasurement MeasureBatch(const App<F>& app,
   out.prover.answer_queries_s = t.SumSeconds("prover.answer") / b;
   out.verifier_per_instance_s = t.SumSeconds("verifier.verify") / b;
   return out;
-}
-
-// Legacy signature: the historical single-shot semantics (no deadlines, no
-// reconnection — `backoff.max_retries = 0` makes the first transport failure
-// final — and one instance at a time, so the span tree is strictly
-// sequential). `links` optionally supplies caller-owned endpoints (left =
-// verifier side, right = prover side); the default is an in-memory loopback.
-template <typename F, typename Backend>
-BatchMeasurement MeasureBatch(const App<F>& app,
-                              const CompiledProgram<F>& program, size_t beta,
-                              const PcpParams& params, uint64_t seed,
-                              bool measure_native = true,
-                              protocol::TransportPair* links = nullptr) {
-  MeasureOptions opt;
-  opt.measure_native = measure_native;
-  opt.preconnected = links;
-  opt.backoff.max_retries = 0;
-  opt.prover_threads = 1;
-  return MeasureBatch<F, Backend>(app, program, beta, params, seed, opt);
-}
-
-// Runs a batch of `beta` instances through the full Zaatar argument.
-template <typename F>
-BatchMeasurement MeasureZaatarBatch(const App<F>& app,
-                                    const CompiledProgram<F>& program,
-                                    size_t beta, const PcpParams& params,
-                                    uint64_t seed,
-                                    bool measure_native = true) {
-  return MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, beta, params,
-                                                  seed, measure_native);
-}
-
-template <typename F>
-BatchMeasurement MeasureZaatarBatch(const App<F>& app,
-                                    const CompiledProgram<F>& program,
-                                    size_t beta, const PcpParams& params,
-                                    uint64_t seed, const MeasureOptions& opt) {
-  return MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, beta, params,
-                                                  seed, opt);
-}
-
-// Same for the Ginger baseline.
-template <typename F>
-BatchMeasurement MeasureGingerBatch(const App<F>& app,
-                                    const CompiledProgram<F>& program,
-                                    size_t beta, const PcpParams& params,
-                                    uint64_t seed,
-                                    bool measure_native = true) {
-  return MeasureBatch<F, GingerHarnessBackend<F>>(app, program, beta, params,
-                                                  seed, measure_native);
-}
-
-template <typename F>
-BatchMeasurement MeasureGingerBatch(const App<F>& app,
-                                    const CompiledProgram<F>& program,
-                                    size_t beta, const PcpParams& params,
-                                    uint64_t seed, const MeasureOptions& opt) {
-  return MeasureBatch<F, GingerHarnessBackend<F>>(app, program, beta, params,
-                                                  seed, opt);
 }
 
 }  // namespace zaatar

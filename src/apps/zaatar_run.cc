@@ -126,9 +126,11 @@ int RunApp(const zaatar::App<F>& app, const Options& opt) {
 
   BatchMeasurement m;
   if (opt.backend == "ginger") {
-    m = MeasureGingerBatch(app, program, opt.beta, params, opt.seed, mopt);
+    m = MeasureBatch<F, GingerHarnessBackend<F>>(app, program, opt.beta,
+                                                 params, opt.seed, mopt);
   } else {
-    m = MeasureZaatarBatch(app, program, opt.beta, params, opt.seed, mopt);
+    m = MeasureBatch<F, ZaatarHarnessBackend<F>>(app, program, opt.beta,
+                                                 params, opt.seed, mopt);
   }
 
   std::printf("app                    %s\n", app.name.c_str());

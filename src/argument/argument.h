@@ -4,23 +4,23 @@
 //
 // Batch model (§2.2): the verifier's query generation, encryption of r, and
 // consistency vectors t are produced once per (computation, batch) in
-// Setup(); each of the beta instances then runs Prove()/VerifyInstance().
+// Setup(); each of the beta instances is then proved by a
+// protocol::ProverSession and decided by VerifierSession::HandleProof, which
+// calls VerifyInstanceDetailed on the decoded ProofMessage.
 //
 // The setup state is split along the trust boundary: VerifierSecrets (the
 // ElGamal secret key, the plaintext r vectors, the alphas) never leaves the
 // verifier's side, while the shared halves (Enc(r), t) plus the plaintext
 // queries are exactly what a protocol::SetupMessage ships to the prover. The
-// prover-facing entry points consume a ProverContext — reconstructable
-// purely from SetupMessage bytes — so prover code cannot even name the
-// secrets (src/protocol/prover_session.h, tests/protocol_isolation_test.cc).
+// prover consumes a ProverContext — reconstructable purely from
+// SetupMessage bytes — so prover code cannot even name the secrets
+// (src/protocol/prover_session.h, tests/protocol_isolation_test.cc).
 
 #ifndef SRC_ARGUMENT_ARGUMENT_H_
 #define SRC_ARGUMENT_ARGUMENT_H_
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,25 +101,10 @@ class Argument {
       }
       return msg;
     }
-
-    // The honest prover's in-process view — identical content to decoding
-    // EncodeSetupMessage(), without the byte round trip (tests pin the
-    // equivalence).
-    ProverContext<F> ProverView() const {
-      ProverContext<F> ctx;
-      ctx.pk = pk;
-      for (size_t o = 0; o < 2; o++) {
-        ctx.oracles[o].enc_r = shared[o].enc_r;
-        ctx.oracles[o].queries = Adapter::OracleQueries(queries, o);
-        ctx.oracles[o].t = shared[o].t;
-      }
-      return ctx;
-    }
   };
 
   struct InstanceProof {
     std::array<OracleProofPart<F>, 2> parts;
-    ProverCosts costs;
   };
 
   // Verifier, once per batch. `queries` should come from the PCP's
@@ -145,54 +130,6 @@ class Argument {
     }
     s.costs.commit_setup_s = timer.ElapsedSeconds();
     return s;
-  }
-
-  // Prover, once per instance, against the prover's own view of the batch
-  // (reconstructed from SetupMessage bytes by the session layer).
-  // `proof_vectors` are the two oracle vectors (e.g. z and h); construct-u /
-  // solve costs are added by the caller. `workers` > 1 splits the commitment
-  // multi-exponentiations and the query answers across threads — the
-  // intra-instance counterpart of ProverSession::ProveBatch.
-  static InstanceProof Prove(
-      const std::array<const std::vector<F>*, 2>& proof_vectors,
-      const ProverContext<F>& ctx, size_t workers = 1) {
-    InstanceProof p;
-    for (size_t o = 0; o < 2; o++) {
-      auto part = LinearCommitment<F>::Prove(
-          *proof_vectors[o], ctx.oracles[o], &p.costs.crypto_s,
-          &p.costs.answer_queries_s, workers);
-      if (!part.ok()) {
-        // Callers screen shapes (ValidateProverVectors) before proving, so
-        // reaching this is a caller bug, not a protocol outcome.
-        throw std::invalid_argument("Argument::Prove oracle " +
-                                    std::to_string(o) + ": " +
-                                    part.status().ToString());
-      }
-      p.parts[o] = std::move(part).value();
-    }
-    return p;
-  }
-
-  // In-process convenience for tests, examples, and benches: prove directly
-  // against the shared half of the verifier's setup without materializing a
-  // ProverContext (no copies — bench_fig6 calls this in a loop).
-  static InstanceProof Prove(
-      const std::array<const std::vector<F>*, 2>& proof_vectors,
-      const VerifierSetup& setup, size_t workers = 1) {
-    InstanceProof p;
-    for (size_t o = 0; o < 2; o++) {
-      auto part = LinearCommitment<F>::Prove(
-          *proof_vectors[o], setup.shared[o].enc_r,
-          Adapter::OracleQueries(setup.queries, o), setup.shared[o].t,
-          &p.costs.crypto_s, &p.costs.answer_queries_s, workers);
-      if (!part.ok()) {
-        throw std::invalid_argument("Argument::Prove oracle " +
-                                    std::to_string(o) + ": " +
-                                    part.status().ToString());
-      }
-      p.parts[o] = std::move(part).value();
-    }
-    return p;
   }
 
   // Structural validation of an untrusted proof against the setup: every
@@ -222,8 +159,7 @@ class Argument {
   // `bound_values` are inputs then outputs.
   static VerifyInstanceResult VerifyInstanceDetailed(
       const VerifierSetup& setup, const InstanceProof& proof,
-      const std::vector<F>& bound_values, double* seconds = nullptr) {
-    Stopwatch timer;
+      const std::vector<F>& bound_values) {
     VerifyInstanceResult result = VerifyInstanceResult::Accept();
     Status shape = ValidateProofShape(setup, proof, bound_values);
     if (!shape.ok()) {
@@ -244,47 +180,7 @@ class Argument {
                          proof.parts[1].responses, bound_values)) {
       result = VerifyInstanceResult::Reject(VerifyVerdict::kRejectPcp);
     }
-    if (seconds != nullptr) {
-      *seconds += timer.ElapsedSeconds();
-    }
     return result;
-  }
-
-  // Boolean convenience wrapper over VerifyInstanceDetailed.
-  static bool VerifyInstance(const VerifierSetup& setup,
-                             const InstanceProof& proof,
-                             const std::vector<F>& bound_values,
-                             double* seconds = nullptr) {
-    return VerifyInstanceDetailed(setup, proof, bound_values, seconds)
-        .accepted();
-  }
-
-  // Verifies every instance of a batch and reports a per-instance verdict:
-  // one malicious or malformed instance is isolated, never aborting the
-  // remaining beta-1 (the batch amortization of §2.2 assumes all instances
-  // are checked regardless of individual outcomes). A proofs/bound-values
-  // count mismatch is a caller-side batch assembly bug, not a per-instance
-  // outcome, and is rejected up front with a typed error naming the first
-  // instance that would be missing its bound values.
-  static StatusOr<std::vector<VerifyInstanceResult>> VerifyBatch(
-      const VerifierSetup& setup, const std::vector<InstanceProof>& proofs,
-      const std::vector<std::vector<F>>& bound_values,
-      double* seconds = nullptr) {
-    if (proofs.size() != bound_values.size()) {
-      const size_t first_bad = std::min(proofs.size(), bound_values.size());
-      return MalformedError(
-          "batch shape mismatch: " + std::to_string(proofs.size()) +
-          " proofs vs " + std::to_string(bound_values.size()) +
-          " bound value vectors (first unmatched instance: " +
-          std::to_string(first_bad) + ")");
-    }
-    std::vector<VerifyInstanceResult> results;
-    results.reserve(proofs.size());
-    for (size_t i = 0; i < proofs.size(); i++) {
-      results.push_back(
-          VerifyInstanceDetailed(setup, proofs[i], bound_values[i], seconds));
-    }
-    return results;
   }
 };
 

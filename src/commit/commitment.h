@@ -34,7 +34,6 @@
 #include "src/pcp/linear_oracle.h"
 #include "src/util/parallel_for.h"
 #include "src/util/status.h"
-#include "src/util/stopwatch.h"
 
 namespace zaatar {
 
@@ -155,26 +154,6 @@ class LinearCommitment {
     return Status::Ok();
   }
 
-  // Phases 2 + 4 together. `crypto_seconds` / `answer_seconds` receive the
-  // phase costs when non-null.
-  static StatusOr<OracleProofPart<F>> Prove(
-      const std::vector<F>& u,
-      const std::vector<typename EG::Ciphertext>& enc_r,
-      const std::vector<std::vector<F>>& queries, const std::vector<F>& t,
-      double* crypto_seconds = nullptr, double* answer_seconds = nullptr,
-      size_t workers = 1);
-
-  // Prove against the prover's reconstructed per-oracle context — the form
-  // the session layer uses once the SetupMessage has been decoded.
-  static StatusOr<OracleProofPart<F>> Prove(const std::vector<F>& u,
-                                            const ProverOracleContext<F>& ctx,
-                                            double* crypto_seconds = nullptr,
-                                            double* answer_seconds = nullptr,
-                                            size_t workers = 1) {
-    return Prove(u, ctx.enc_r, ctx.queries, ctx.t, crypto_seconds,
-                 answer_seconds, workers);
-  }
-
   // Per-instance verifier check: are the responses consistent with the
   // committed linear function? Needs only the secret half of the setup —
   // the check is g^(pi(t) - sum_i alpha_i pi(q_i)) == Dec(e).
@@ -222,29 +201,6 @@ class LinearCommitment {
     return t;
   }
 };
-
-template <typename F>
-StatusOr<OracleProofPart<F>> LinearCommitment<F>::Prove(
-    const std::vector<F>& u,
-    const std::vector<typename EG::Ciphertext>& enc_r,
-    const std::vector<std::vector<F>>& queries, const std::vector<F>& t,
-    double* crypto_seconds, double* answer_seconds, size_t workers) {
-  OracleProofPart<F> part;
-
-  Stopwatch timer;
-  ZAATAR_ASSIGN_OR_RETURN(part.commitment, Commit(u, enc_r, workers));
-  if (crypto_seconds != nullptr) {
-    *crypto_seconds += timer.Lap();
-  } else {
-    timer.Restart();
-  }
-
-  ZAATAR_RETURN_IF_ERROR(Answer(u, queries, t, &part, workers));
-  if (answer_seconds != nullptr) {
-    *answer_seconds += timer.Lap();
-  }
-  return part;
-}
 
 }  // namespace zaatar
 

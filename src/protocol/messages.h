@@ -14,16 +14,18 @@
 //                  (ACCEPT / MALFORMED / REJECT_COMMIT / REJECT_PCP) plus a
 //                  bounded diagnostic string.
 //
+// These are the only encoding of the protocol: every proof is produced by a
+// ProverSession and checked by VerifierSession::HandleProof through them.
+//
 // Deserialize() is the trust boundary: bytes from the peer are arbitrary.
 // All decoders return StatusOr instead of throwing, validate every length
 // prefix against both the hard element cap and the bytes actually present
 // before allocating, range-check every field/group element (< modulus), and
-// reject trailing bytes — the same hardening regime as src/argument/wire.h.
+// reject trailing bytes (src/util/serialize.h).
 //
-// Unlike wire.h's seed-based SetupMessage (which ships a query seed and lets
-// the prover re-derive the queries), this SetupMessage carries the full
-// query matrices: the session prover is reconstructed *purely* from these
-// bytes and holds no generator for the queries.
+// The SetupMessage carries the full query matrices as plaintext rows: the
+// session prover is reconstructed *purely* from these bytes and holds no
+// generator for the queries.
 
 #ifndef SRC_PROTOCOL_MESSAGES_H_
 #define SRC_PROTOCOL_MESSAGES_H_

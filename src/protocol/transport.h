@@ -117,22 +117,16 @@ inline bool IsTransportFailure(const Status& s) {
 namespace internal {
 
 // Shared per-frame accounting for every Transport implementation. Counters
-// and the byte histogram land in whatever Metrics registry is installed on
-// the calling thread (no-ops otherwise).
+// and the per-direction byte histograms land in whatever Metrics registry is
+// installed on the calling thread (no-ops otherwise).
 inline void RecordFrameSent(size_t bytes) {
   obs::MetricAdd("transport.frames_sent");
   obs::MetricObserve("transport.frame_bytes_sent", bytes);
-  // Direction-summed histogram kept for schema compatibility; consumers that
-  // care about direction read the _sent/_received splits (a loopback link
-  // observed from one registry counts every frame here twice — once per
-  // direction — which is exactly why the splits exist).
-  obs::MetricObserve("transport.frame_bytes", bytes);
 }
 
 inline void RecordFrameReceived(size_t bytes) {
   obs::MetricAdd("transport.frames_received");
   obs::MetricObserve("transport.frame_bytes_received", bytes);
-  obs::MetricObserve("transport.frame_bytes", bytes);
 }
 
 inline void RecordDeadlineExceeded() {
@@ -215,25 +209,6 @@ class Transport {
 struct TransportPair {
   std::unique_ptr<Transport> left;
   std::unique_ptr<Transport> right;
-};
-
-// Non-owning view of a Transport, for plumbing a caller-owned endpoint
-// through APIs that take ownership (e.g. a RetryingSession fed a
-// preconnected pair). Close() forwards — closing the view closes the link.
-class TransportRef final : public Transport {
- public:
-  explicit TransportRef(Transport* inner) : inner_(inner) {}
-
-  Status Send(const std::vector<uint8_t>& frame) override {
-    return inner_->Send(frame);
-  }
-  StatusOr<std::vector<uint8_t>> Receive() override {
-    return inner_->Receive();
-  }
-  void Close() override { inner_->Close(); }
-
- private:
-  Transport* inner_;
 };
 
 namespace internal {

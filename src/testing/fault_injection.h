@@ -2,28 +2,35 @@
 // transcripts, exercising the verifier's "reject, don't crash" invariant.
 //
 // The threat model (DESIGN.md §8) is an arbitrarily malicious prover: any
-// byte string may arrive where an InstanceProofMessage is expected, and any
-// well-formed message may carry adversarially chosen contents. The Corruptor
-// mutates serialized messages at the byte level (truncation, bit flips,
-// length inflation, non-canonical residues, trailing garbage); the
-// MaliciousProver emits semantically hostile but well-formed messages
+// byte string may arrive where a protocol::ProofMessage frame is expected,
+// and any well-formed frame may carry adversarially chosen contents. The
+// Corruptor mutates serialized messages at the byte level (truncation, bit
+// flips, length inflation, non-canonical residues, trailing garbage); the
+// MaliciousProver emits semantically hostile but well-formed frames
 // (swapped commitments, responses inconsistent with the commitment, proofs
-// generated under a replayed setup from another batch). Every emitted fault,
-// driven through the real Argument pipeline via VerifyInstanceBytes, must
-// yield a typed non-accept verdict — never a crash, hang, or accept.
+// generated under a replayed setup from another batch). Every emitted
+// fault, sent through VerifierSession::HandleProof, must yield a typed
+// non-accept verdict — never a crash, hang, or accept.
+//
+// Like a remote prover, the MaliciousProver sees only setup frames: this
+// header must not include the verifier's secrets (src/argument/argument.h),
+// which tests/protocol_isolation_test.cc enforces.
 
 #ifndef SRC_TESTING_FAULT_INJECTION_H_
 #define SRC_TESTING_FAULT_INJECTION_H_
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "src/argument/argument.h"
-#include "src/argument/wire.h"
 #include "src/constraints/ginger.h"
 #include "src/constraints/r1cs.h"
 #include "src/crypto/prg.h"
+#include "src/protocol/messages.h"
+#include "src/protocol/prover_session.h"
 #include "src/util/serialize.h"
 
 namespace zaatar {
@@ -172,7 +179,7 @@ class Corruptor {
 };
 
 // Byte offsets of the structural landmarks inside a serialized
-// InstanceProofMessage<F>, computed from the honest message shape. Used to
+// protocol::ProofMessage<F>, computed from the honest message shape. Used to
 // aim length-inflation and non-canonical-substitution faults at exactly the
 // fields they target.
 template <typename F>
@@ -186,9 +193,9 @@ struct InstanceWireLayout {
   std::array<size_t, 2> t_response_offset;
   size_t total_bytes = 0;
 
-  static InstanceWireLayout Of(const InstanceProofMessage<F>& msg) {
+  static InstanceWireLayout Of(const protocol::ProofMessage<F>& msg) {
     InstanceWireLayout layout;
-    size_t off = 0;
+    size_t off = 4;  // the u32 instance index
     for (size_t o = 0; o < 2; o++) {
       layout.commitment_offset[o] = off;
       off += 2 * kGroupBytes;
@@ -204,33 +211,54 @@ struct InstanceWireLayout {
   }
 };
 
-// Emits one corrupted transcript per fault class, built from an honest
-// prover run. The decoy setup (for kSetupReplay) must come from a different
-// batch over the same computation — same query structure, fresh keys and
-// commitment secrets.
-template <typename F, typename Adapter>
+// Proves instance `index` the way a remote prover does: a ProverSession that
+// sees only `setup_frame` commits to `vectors` and answers the queries.
+// Returns the ProofMessage frame, for VerifierSession::HandleProof. Throws
+// if the vectors do not fit the setup.
+template <typename F>
+std::vector<uint8_t> ProveFrame(
+    const std::vector<uint8_t>& setup_frame,
+    const std::array<const std::vector<F>*, 2>& vectors, uint32_t index = 0) {
+  protocol::ProverSession<F> prover;
+  Status st = prover.IngestSetup(setup_frame);
+  if (st.ok()) {
+    st = prover.StartAtInstance(index);
+  }
+  if (st.ok()) {
+    st = prover.Commit(vectors);
+  }
+  StatusOr<std::vector<uint8_t>> frame =
+      st.ok() ? prover.Decommit() : StatusOr<std::vector<uint8_t>>(st);
+  if (!frame.ok()) {
+    throw std::invalid_argument("ProveFrame: " + frame.status().ToString());
+  }
+  return std::move(frame).value();
+}
+
+// Emits one corrupted ProofMessage frame for instance 0 per fault class,
+// built from an honest prover session fed `setup_frame`. The decoy frame
+// (for kSetupReplay) must be the setup of a different batch over the same
+// computation — same query structure, fresh keys and commitment secrets.
+template <typename F>
 class MaliciousProver {
  public:
-  using Arg = Argument<F, Adapter>;
-  using Setup = typename Arg::VerifierSetup;
-
-  MaliciousProver(const Setup* setup, const Setup* decoy_setup,
+  MaliciousProver(const std::vector<uint8_t>& setup_frame,
+                  const std::vector<uint8_t>& decoy_setup_frame,
                   std::array<const std::vector<F>*, 2> proof_vectors)
-      : setup_(setup),
-        decoy_setup_(decoy_setup),
-        proof_vectors_(proof_vectors),
-        honest_proof_(Arg::Prove(proof_vectors, *setup)),
-        honest_msg_(
-            InstanceProofMessage<F>::template FromProof<Adapter>(
-                honest_proof_)),
-        honest_bytes_(honest_msg_.Serialize()),
+      : honest_bytes_(ProveFrame<F>(setup_frame, proof_vectors)),
+        replayed_bytes_(ProveFrame<F>(decoy_setup_frame, proof_vectors)),
+        honest_msg_(protocol::ProofMessage<F>::Deserialize(honest_bytes_)
+                        .value()),
         layout_(InstanceWireLayout<F>::Of(honest_msg_)) {}
 
   const std::vector<uint8_t>& HonestBytes() const { return honest_bytes_; }
+  const protocol::ProofMessage<F>& HonestMessage() const {
+    return honest_msg_;
+  }
   const InstanceWireLayout<F>& Layout() const { return layout_; }
 
-  // A corrupted transcript of the requested class. `prg` picks the fault
-  // site, so repeated calls sample different concrete corruptions.
+  // A corrupted frame of the requested class. `prg` picks the fault site,
+  // so repeated calls sample different concrete corruptions.
   std::vector<uint8_t> Emit(FaultClass c, Prg& prg) const {
     using Zp = typename ElGamal<F>::Zp;
     switch (c) {
@@ -258,21 +286,18 @@ class MaliciousProver {
                                       Zp::kModulus);
       }
       case FaultClass::kCommitmentSwap: {
-        InstanceProofMessage<F> msg = honest_msg_;
+        protocol::ProofMessage<F> msg = honest_msg_;
         std::swap(msg.commitments[0], msg.commitments[1]);
         return msg.Serialize();
       }
-      case FaultClass::kSetupReplay: {
+      case FaultClass::kSetupReplay:
         // A proof that is perfectly honest — under the wrong batch's keys
         // and commitment secrets.
-        auto replayed = Arg::Prove(proof_vectors_, *decoy_setup_);
-        return InstanceProofMessage<F>::template FromProof<Adapter>(replayed)
-            .Serialize();
-      }
+        return replayed_bytes_;
       case FaultClass::kInconsistentResponse: {
         // Commitment from the honest run, one response perturbed after the
         // fact: exactly the cheat Commit+Multidecommit exists to catch.
-        InstanceProofMessage<F> msg = honest_msg_;
+        protocol::ProofMessage<F> msg = honest_msg_;
         size_t o = prg.NextBounded(2);
         if (!msg.responses[o].empty()) {
           msg.responses[o][prg.NextBounded(msg.responses[o].size())] +=
@@ -290,7 +315,7 @@ class MaliciousProver {
         // response count disagrees with the setup's query count. This is the
         // corruption that asserts-only shape validation would let straight
         // through to an out-of-bounds read in an NDEBUG build.
-        InstanceProofMessage<F> msg = honest_msg_;
+        protocol::ProofMessage<F> msg = honest_msg_;
         size_t o = prg.NextBounded(2);
         if (msg.responses[o].empty() || prg.NextBool()) {
           msg.responses[o].push_back(F::One());  // one response too many
@@ -327,12 +352,9 @@ class MaliciousProver {
   }
 
  private:
-  const Setup* setup_;
-  const Setup* decoy_setup_;
-  std::array<const std::vector<F>*, 2> proof_vectors_;
-  typename Arg::InstanceProof honest_proof_;
-  InstanceProofMessage<F> honest_msg_;
   std::vector<uint8_t> honest_bytes_;
+  std::vector<uint8_t> replayed_bytes_;
+  protocol::ProofMessage<F> honest_msg_;
   InstanceWireLayout<F> layout_;
 };
 

@@ -315,9 +315,11 @@ ZlangFuzzOutcome CheckZlangSource(const std::string& source, uint64_t seed,
           inst.expected_outputs = expected;
           return inst;
         };
-        auto m = MeasureZaatarBatch(app, prog, /*beta=*/1,
-                                    PcpParams::Light(), seed,
-                                    /*measure_native=*/false);
+        MeasureOptions opt;
+        opt.measure_native = false;
+        opt.prover_threads = 1;
+        auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(
+            app, prog, /*beta=*/1, PcpParams::Light(), seed, opt);
         if (!m.all_accepted) {
           out.ok = false;
           out.detail = "full argument REJECTED an honest instance";

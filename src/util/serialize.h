@@ -1,16 +1,11 @@
 // Byte-level serialization for protocol messages.
 //
-// The paper's network accounting (§A.1: "a full query sent from V to P, and
-// a random seed from which V and P derive the PCP queries pseudorandomly")
-// needs concrete wire formats. This module provides bounds-checked
-// little-endian encoding for field elements, big integers, ciphertexts, and
-// the two protocol messages:
-//   - SetupMessage (V -> P, once per batch): a 32-byte query seed, the
-//     encrypted commitment vectors Enc(r), and the consistency vectors t.
-//     The queries themselves are never shipped — P re-derives them from the
-//     seed (they are public coin); r and the alphas stay verifier-secret.
-//   - InstanceProofMessage (P -> V, per instance): the two commitments and
-//     all oracle responses.
+// Bounds-checked little-endian encoding for field elements, big integers
+// and length-prefixed vectors: the primitives the three protocol messages
+// of src/protocol/messages.h are built from. Those carry the queries as
+// plaintext rows in the setup frame; the paper's alternative (§A.1, "a
+// random seed from which V and P derive the PCP queries pseudorandomly") is
+// not implemented yet.
 //
 // Decoding is hardened against a malicious peer: every read returns a typed
 // Status instead of throwing, length prefixes are validated against both the

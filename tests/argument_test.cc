@@ -1,10 +1,19 @@
+// The argument end to end over the session frames: a ProverSession fed the
+// setup frame proves, VerifierSession::HandleProof decides.
+
 #include "src/argument/argument.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
+#include "src/protocol/verifier_session.h"
+#include "src/testing/fault_injection.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
@@ -24,22 +33,52 @@ struct ZaatarFixture {
   }
 };
 
+// One frame through a verifier session that adopts `setup`, as instance 0.
+template <typename Adapter>
+VerifyInstanceResult Verify(
+    const std::shared_ptr<const typename Argument<F, Adapter>::VerifierSetup>&
+        setup,
+    const std::vector<uint8_t>& frame, const std::vector<F>& bound_values) {
+  protocol::VerifierSession<F, Adapter> verifier(setup);
+  return verifier.HandleProof(frame, bound_values).value();
+}
+
+// Decodes a frame, applies `edit` to its ProofMessage, and re-serializes it.
+template <typename Edit>
+std::vector<uint8_t> Tamper(const std::vector<uint8_t>& frame, Edit edit) {
+  protocol::ProofMessage<F> msg =
+      protocol::ProofMessage<F>::Deserialize(frame).value();
+  edit(msg);
+  return msg.Serialize();
+}
+
+std::shared_ptr<const ZaatarArgument<F>::VerifierSetup> ZaatarSetup(
+    const Qap<F>& qap, Prg& prg, double query_generation_seconds = 0) {
+  return std::make_shared<const ZaatarArgument<F>::VerifierSetup>(
+      ZaatarArgument<F>::Setup(
+          ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg,
+          query_generation_seconds));
+}
+
 TEST(ZaatarArgumentTest, BatchAcceptsHonestProver) {
   Prg prg(110);
   auto f = ZaatarFixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
-  auto queries = ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg);
-  auto setup = ZaatarArgument<F>::Setup(std::move(queries), prg);
+  auto setup = ZaatarSetup(qap, prg);
 
   // Batch: re-randomize the witness per "instance" by regenerating systems
   // is not possible (queries depend on constraints), so a batch here means
   // the same instance proven multiple times — the protocol path is the same.
   auto w = f.transform.ExtendAssignment(f.rs.assignment);
   auto proof = BuildZaatarProof(qap, w);
-  for (int i = 0; i < 3; i++) {
-    auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
-    EXPECT_TRUE(
-        ZaatarArgument<F>::VerifyInstance(setup, ip, f.rs.BoundValues()));
+  const std::vector<uint8_t> setup_frame = setup->EncodeSetupMessage();
+  protocol::VerifierSession<F, ZaatarAdapter<F>> verifier(setup);
+  for (uint32_t i = 0; i < 3; i++) {
+    auto frame = ProveFrame<F>(setup_frame, {&proof.z, &proof.h}, i);
+    auto result = verifier.HandleProof(frame, f.rs.BoundValues());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->accepted()) << result->detail;
+    ASSERT_TRUE(verifier.EmitVerdict().ok());
   }
 }
 
@@ -47,30 +86,30 @@ TEST(ZaatarArgumentTest, RejectsWrongOutputClaim) {
   Prg prg(111);
   auto f = ZaatarFixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
+  auto setup = ZaatarSetup(qap, prg);
   auto w = f.transform.ExtendAssignment(f.rs.assignment);
   auto proof = BuildZaatarProof(qap, w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
+  auto frame = ProveFrame<F>(setup->EncodeSetupMessage(), {&proof.z, &proof.h});
   auto bad = f.rs.BoundValues();
   bad.back() += F::One();
-  EXPECT_FALSE(ZaatarArgument<F>::VerifyInstance(setup, ip, bad));
+  EXPECT_FALSE(Verify<ZaatarAdapter<F>>(setup, frame, bad).accepted());
 }
 
 TEST(ZaatarArgumentTest, RejectsTamperedResponsesViaCommitment) {
   Prg prg(112);
   auto f = ZaatarFixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
+  auto setup = ZaatarSetup(qap, prg);
   auto w = f.transform.ExtendAssignment(f.rs.assignment);
   auto proof = BuildZaatarProof(qap, w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
+  auto frame = ProveFrame<F>(setup->EncodeSetupMessage(), {&proof.z, &proof.h});
   for (size_t oracle = 0; oracle < 2; oracle++) {
-    auto tampered = ip;
-    tampered.parts[oracle].responses[0] += F::One();
-    EXPECT_FALSE(ZaatarArgument<F>::VerifyInstance(setup, tampered,
-                                                   f.rs.BoundValues()))
+    auto tampered = Tamper(frame, [oracle](protocol::ProofMessage<F>& msg) {
+      msg.responses[oracle][0] += F::One();
+    });
+    auto result =
+        Verify<ZaatarAdapter<F>>(setup, tampered, f.rs.BoundValues());
+    EXPECT_EQ(result.verdict, VerifyVerdict::kRejectCommit)
         << "oracle " << oracle;
   }
 }
@@ -79,53 +118,48 @@ TEST(ZaatarArgumentTest, RejectsCheatingWitnessEndToEnd) {
   Prg prg(113);
   auto f = ZaatarFixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
+  auto setup = ZaatarSetup(qap, prg);
   auto bad_w = f.transform.ExtendAssignment(f.rs.assignment);
   bad_w[2] += F::One();
   auto proof = BuildZaatarProof(qap, bad_w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
+  auto frame = ProveFrame<F>(setup->EncodeSetupMessage(), {&proof.z, &proof.h});
   EXPECT_FALSE(
-      ZaatarArgument<F>::VerifyInstance(setup, ip, f.rs.BoundValues()));
+      Verify<ZaatarAdapter<F>>(setup, frame, f.rs.BoundValues()).accepted());
 }
 
+// The setup times itself; the per-instance prover and verifier costs are
+// the session's spans, which HarnessTest.ZaatarBatchOverLcsAccepts checks.
 TEST(ZaatarArgumentTest, CostAccountingIsPopulated) {
   Prg prg(114);
   auto f = ZaatarFixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg, 0.5);
-  EXPECT_EQ(setup.costs.query_generation_s, 0.5);
-  EXPECT_GT(setup.costs.commit_setup_s, 0.0);
-  auto w = f.transform.ExtendAssignment(f.rs.assignment);
-  auto proof = BuildZaatarProof(qap, w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
-  EXPECT_GT(ip.costs.crypto_s, 0.0);
-  EXPECT_GT(ip.costs.answer_queries_s, 0.0);
-  double verify_s = 0;
-  ZaatarArgument<F>::VerifyInstance(setup, ip, f.rs.BoundValues(),
-                                    &verify_s);
-  EXPECT_GT(verify_s, 0.0);
+  auto setup = ZaatarSetup(qap, prg, 0.5);
+  EXPECT_EQ(setup->costs.query_generation_s, 0.5);
+  EXPECT_GT(setup->costs.commit_setup_s, 0.0);
 }
 
 TEST(GingerArgumentTest, EndToEndAcceptAndReject) {
   Prg prg(115);
   auto rs = MakeRandomSatisfiedSystem<F>(prg, 8, 2, 2, 14);
   auto inst = BuildGingerPcpInstance(rs.system);
-  auto setup = GingerArgument<F>::Setup(
-      GingerPcp<F>::GenerateQueries(inst, PcpParams::Light(), prg), prg);
+  auto setup = std::make_shared<const GingerArgument<F>::VerifierSetup>(
+      GingerArgument<F>::Setup(
+          GingerPcp<F>::GenerateQueries(inst, PcpParams::Light(), prg), prg));
   auto proof = BuildGingerProof(inst, rs.assignment);
-  auto ip = GingerArgument<F>::Prove({&proof.z, &proof.tensor}, setup);
-  EXPECT_TRUE(GingerArgument<F>::VerifyInstance(setup, ip, rs.BoundValues()));
+  auto frame =
+      ProveFrame<F>(setup->EncodeSetupMessage(), {&proof.z, &proof.tensor});
+  EXPECT_TRUE(
+      Verify<GingerAdapter<F>>(setup, frame, rs.BoundValues()).accepted());
 
   auto bad = rs.BoundValues();
   bad[0] += F::One();
-  EXPECT_FALSE(GingerArgument<F>::VerifyInstance(setup, ip, bad));
+  EXPECT_FALSE(Verify<GingerAdapter<F>>(setup, frame, bad).accepted());
 
-  auto tampered = ip;
-  tampered.parts[1].t_response += F::One();
+  auto tampered = Tamper(frame, [](protocol::ProofMessage<F>& msg) {
+    msg.t_responses[1] += F::One();
+  });
   EXPECT_FALSE(
-      GingerArgument<F>::VerifyInstance(setup, tampered, rs.BoundValues()));
+      Verify<GingerAdapter<F>>(setup, tampered, rs.BoundValues()).accepted());
 }
 
 TEST(ArgumentTest, SetupSizesMatchAdapters) {

@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "src/field/fields.h"
+#include "src/obs/trace.h"
+#include "src/protocol/prover_session.h"
 
 namespace zaatar {
 namespace {
@@ -12,6 +14,17 @@ namespace {
 using F = F128;
 using Commit = LinearCommitment<F>;
 using EG = ElGamal<F>;
+
+// The prover's two steps for one oracle: commit to u, then answer the
+// queries and t in the clear.
+StatusOr<OracleProofPart<F>> CommitAndAnswer(
+    const std::vector<F>& u, const std::vector<EG::Ciphertext>& enc_r,
+    const std::vector<std::vector<F>>& queries, const std::vector<F>& t) {
+  OracleProofPart<F> part;
+  ZAATAR_ASSIGN_OR_RETURN(part.commitment, Commit::Commit(u, enc_r));
+  ZAATAR_RETURN_IF_ERROR(Commit::Answer(u, queries, t, &part));
+  return part;
+}
 
 struct Fixture {
   typename EG::KeyPair keys;
@@ -28,11 +41,22 @@ struct Fixture {
       f.queries.push_back(prg.NextFieldVector<F>(len));
     }
     f.setup = Commit::CreateSetup(f.keys.pk, len, f.queries, prg);
-    auto part = Commit::Prove(f.u, f.setup.shared.enc_r, f.queries,
-                              f.setup.shared.t);
+    auto part = CommitAndAnswer(f.u, f.setup.shared.enc_r, f.queries,
+                                f.setup.shared.t);
     EXPECT_TRUE(part.ok()) << part.status().ToString();
     f.part = std::move(part).value();
     return f;
+  }
+
+  // A setup frame whose two oracles are both this fixture's oracle, for
+  // the prover session.
+  std::vector<uint8_t> SetupFrame() const {
+    protocol::SetupMessage<F> msg;
+    msg.pk = keys.pk;
+    for (auto& oracle : msg.oracles) {
+      oracle = {setup.shared.enc_r, queries, setup.shared.t};
+    }
+    return msg.Serialize();
   }
 };
 
@@ -130,11 +154,10 @@ TEST(CommitmentTest, RejectsCommitmentToDifferentVector) {
   Prg prg(105);
   auto f = Fixture::Make(prg);
   auto u2 = prg.NextFieldVector<F>(f.u.size());
-  auto part2 = Commit::Prove(u2, f.setup.shared.enc_r, f.queries,
-                             f.setup.shared.t);
-  ASSERT_TRUE(part2.ok()) << part2.status().ToString();
-  auto frankenstein = f.part;            // responses from u ...
-  frankenstein.commitment = part2->commitment;  // ... commitment to u2
+  auto commitment2 = Commit::Commit(u2, f.setup.shared.enc_r);
+  ASSERT_TRUE(commitment2.ok()) << commitment2.status().ToString();
+  auto frankenstein = f.part;              // responses from u ...
+  frankenstein.commitment = *commitment2;  // ... commitment to u2
   EXPECT_FALSE(
       Commit::CheckConsistency(f.keys.pk, f.keys.sk, f.setup.secrets, frankenstein));
 }
@@ -146,8 +169,8 @@ TEST(CommitmentTest, ConsistentCheatIsAcceptedButIsLinear) {
   Prg prg(106);
   auto f = Fixture::Make(prg);
   auto u2 = prg.NextFieldVector<F>(f.u.size());
-  auto part2 = Commit::Prove(u2, f.setup.shared.enc_r, f.queries,
-                             f.setup.shared.t);
+  auto part2 = CommitAndAnswer(u2, f.setup.shared.enc_r, f.queries,
+                               f.setup.shared.t);
   ASSERT_TRUE(part2.ok()) << part2.status().ToString();
   EXPECT_TRUE(
       Commit::CheckConsistency(f.keys.pk, f.keys.sk, f.setup.secrets, *part2));
@@ -160,7 +183,7 @@ TEST(CommitmentTest, ZeroLengthQueriesStillBind) {
   std::vector<std::vector<F>> no_queries;
   auto setup = Commit::CreateSetup(keys.pk, 4, no_queries, prg);
   auto part_or =
-      Commit::Prove(u, setup.shared.enc_r, no_queries, setup.shared.t);
+      CommitAndAnswer(u, setup.shared.enc_r, no_queries, setup.shared.t);
   ASSERT_TRUE(part_or.ok()) << part_or.status().ToString();
   auto part = std::move(part_or).value();
   EXPECT_TRUE(Commit::CheckConsistency(keys.pk, keys.sk, setup.secrets, part));
@@ -168,18 +191,27 @@ TEST(CommitmentTest, ZeroLengthQueriesStillBind) {
   EXPECT_FALSE(Commit::CheckConsistency(keys.pk, keys.sk, setup.secrets, part));
 }
 
+// The prover's two phases are timed as the session's prover.commit and
+// prover.answer spans, which the harness sums over a batch: every proved
+// instance adds one of each.
 TEST(CommitmentTest, PhaseTimersAccumulate) {
   Prg prg(108);
-  auto keys = EG::GenerateKeys(prg);
-  auto u = prg.NextFieldVector<F>(8);
-  std::vector<std::vector<F>> queries = {prg.NextFieldVector<F>(8)};
-  auto setup = Commit::CreateSetup(keys.pk, 8, queries, prg);
-  double crypto = 0, answer = 0;
-  auto part = Commit::Prove(u, setup.shared.enc_r, queries, setup.shared.t,
-                            &crypto, &answer);
-  ASSERT_TRUE(part.ok()) << part.status().ToString();
-  EXPECT_GT(crypto, 0.0);
-  EXPECT_GT(answer, 0.0);
+  auto f = Fixture::Make(prg, /*len=*/8, /*num_queries=*/1);
+  const std::vector<uint8_t> frame = f.SetupFrame();
+  obs::Tracer tracer;
+  obs::ScopedThreadTracer install(&tracer);
+  for (int instance = 0; instance < 2; instance++) {
+    protocol::ProverSession<F> prover;
+    ASSERT_TRUE(prover.IngestSetup(frame).ok());
+    ASSERT_TRUE(prover.Commit({&f.u, &f.u}).ok());
+    ASSERT_TRUE(prover.Decommit().ok());
+  }
+#if ZAATAR_TRACE
+  EXPECT_EQ(tracer.CountSpans("prover.commit"), 2u);
+  EXPECT_EQ(tracer.CountSpans("prover.answer"), 2u);
+  EXPECT_GT(tracer.SumSeconds("prover.commit"), 0.0);
+  EXPECT_GT(tracer.SumSeconds("prover.answer"), 0.0);
+#endif
 }
 
 // The shape screens that replaced assert()-only validation: mismatched
@@ -217,15 +249,30 @@ TEST(CommitmentTest, AnswerRejectsWrongQueryOrTLength) {
   EXPECT_EQ(part.responses.size(), f.queries.size());
 }
 
+// Commit and Answer only ever see shapes the prover session screened: a
+// setup frame whose Enc(r) is shorter than its query rows fails to decode,
+// and a proof vector of the wrong length fails at commit, both typed, and
+// neither moves the session on.
 TEST(CommitmentTest, ProvePropagatesShapeErrors) {
   Prg prg(111);
   auto f = Fixture::Make(prg);
-  auto enc_r_short = f.setup.shared.enc_r;
-  enc_r_short.pop_back();
-  auto bad =
-      Commit::Prove(f.u, enc_r_short, f.queries, f.setup.shared.t);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kShapeMismatch);
+  {
+    Fixture short_enc_r = f;
+    short_enc_r.setup.shared.enc_r.pop_back();
+    protocol::ProverSession<F> prover;
+    Status st = prover.IngestSetup(short_enc_r.SetupFrame());
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.code(), StatusCode::kPhaseViolation);
+    EXPECT_EQ(prover.phase(), protocol::SessionPhase::kSetup);
+  }
+  protocol::ProverSession<F> prover;
+  ASSERT_TRUE(prover.IngestSetup(f.SetupFrame()).ok());
+  auto short_u = f.u;
+  short_u.pop_back();
+  Status st = prover.Commit({&short_u, &f.u});
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kMalformed);
+  EXPECT_EQ(prover.phase(), protocol::SessionPhase::kCommit);
 }
 
 }  // namespace

@@ -135,8 +135,11 @@ TEST(MatMulAppTest, ConstraintCountIsCubic) {
 TEST(MatMulAppTest, EndToEndArgument) {
   auto app = MakeMatMulApp(3);
   auto program = CompileZlang<F>(app.source);
-  auto m = MeasureZaatarBatch(app, program, 1, PcpParams::Light(), 206,
-                              /*measure_native=*/false);
+  MeasureOptions opt;
+  opt.measure_native = false;
+  opt.prover_threads = 1;
+  auto m = MeasureBatch<F, ZaatarHarnessBackend<F>>(
+      app, program, 1, PcpParams::Light(), 206, opt);
   EXPECT_TRUE(m.all_accepted);
 }
 

@@ -1,21 +1,26 @@
 // The adversarial-robustness suite: every corruption class in
-// src/testing/fault_injection.h is driven through the real Argument
-// pipeline, and every injected fault must produce a clean typed
-// reject/malformed verdict — never a crash, hang, false accept, or
-// exception out of the ingest path. Run under ASan/UBSan via
-// -DZAATAR_SANITIZE (scripts/ci.sh) to also rule out silent UB.
+// src/testing/fault_injection.h is sent through VerifierSession::HandleProof,
+// the decoder and decision that settle every real verdict, and every
+// injected fault must produce a clean typed reject/malformed verdict — never
+// a crash, hang, false accept, or exception out of the ingest path. Run
+// under ASan/UBSan via -DZAATAR_SANITIZE (scripts/ci.sh) to also rule out
+// silent UB.
 
 #include "src/testing/fault_injection.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
 
 #include "src/analysis/analyzer.h"
+#include "src/argument/argument.h"
 #include "src/compiler/compile.h"
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
+#include "src/protocol/verifier_session.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
@@ -24,18 +29,21 @@ namespace {
 using F = F128;
 using Adapter = ZaatarAdapter<F>;
 using Arg = ZaatarArgument<F>;
+using protocol::ProofMessage;
+using protocol::VerifierSession;
 
-// One honest transcript plus a decoy setup (a second batch over the same
-// computation: same public-coin queries, fresh keys and secrets). Built in
-// place by the constructor: Qap holds a pointer to transform.r1cs, so the
-// fixture must never be copied or moved.
+// One honest setup plus a decoy (a second batch over the same computation:
+// same public-coin queries, fresh keys and secrets), each with the frame a
+// prover receives. Built in place by the constructor: Qap holds a pointer
+// to transform.r1cs, so the fixture must never be copied or moved.
 struct FaultFixture {
   Prg sys_prg;
   RandomSystem<F> rs;
   ZaatarTransform<F> transform;
   Qap<F> qap;
-  typename Arg::VerifierSetup setup;
-  typename Arg::VerifierSetup decoy_setup;
+  std::shared_ptr<const Arg::VerifierSetup> setup;
+  std::vector<uint8_t> setup_frame;
+  std::vector<uint8_t> decoy_frame;
   ZaatarProof<F> proof;
 
   explicit FaultFixture(uint64_t seed)
@@ -45,26 +53,46 @@ struct FaultFixture {
         qap(transform.r1cs) {
     const uint64_t kQuerySeed = seed ^ 0xC0FFEE;
     Prg q1(kQuerySeed), s1(seed + 1);
-    setup = Arg::Setup(
-        ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), q1), s1);
+    setup = std::make_shared<const Arg::VerifierSetup>(Arg::Setup(
+        ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), q1), s1));
+    setup_frame = setup->EncodeSetupMessage();
     Prg q2(kQuerySeed), s2(seed + 2);
-    decoy_setup = Arg::Setup(
-        ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), q2), s2);
+    decoy_frame =
+        Arg::Setup(ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), q2),
+                   s2)
+            .EncodeSetupMessage();
     proof = BuildZaatarProof(qap, transform.ExtendAssignment(rs.assignment));
   }
 
   FaultFixture(const FaultFixture&) = delete;
   FaultFixture& operator=(const FaultFixture&) = delete;
 
-  MaliciousProver<F, Adapter> Prover() const {
-    return MaliciousProver<F, Adapter>(&setup, &decoy_setup,
-                                       {&proof.z, &proof.h});
+  std::array<const std::vector<F>*, 2> Vectors() const {
+    return {&proof.z, &proof.h};
   }
 
-  VerifyInstanceResult Verify(const std::vector<uint8_t>& bytes) const {
-    return VerifyInstanceBytes<F, Adapter>(setup, bytes, rs.BoundValues());
+  MaliciousProver<F> Prover() const {
+    return MaliciousProver<F>(setup_frame, decoy_frame, Vectors());
+  }
+
+  // A fresh session per frame, so every frame is instance 0's.
+  VerifyInstanceResult Verify(const std::vector<uint8_t>& frame,
+                              const std::vector<F>& bound_values) const {
+    VerifierSession<F, Adapter> verifier(setup);
+    return verifier.HandleProof(frame, bound_values).value();
+  }
+  VerifyInstanceResult Verify(const std::vector<uint8_t>& frame) const {
+    return Verify(frame, rs.BoundValues());
   }
 };
+
+// The honest frame, decoded, edited by `edit`, and re-serialized.
+template <typename Edit>
+std::vector<uint8_t> EditedFrame(const MaliciousProver<F>& mp, Edit edit) {
+  ProofMessage<F> msg = mp.HonestMessage();
+  edit(msg);
+  return msg.Serialize();
+}
 
 TEST(FaultInjectionTest, HonestTranscriptAccepts) {
   FaultFixture f(400);
@@ -81,7 +109,7 @@ TEST(FaultInjectionTest, EveryFaultClassYieldsTypedReject) {
   auto mp = f.Prover();
   Prg prg(402);
   for (FaultClass c : kAllFaultClasses) {
-    auto expected = MaliciousProver<F, Adapter>::ExpectedVerdicts(c);
+    auto expected = MaliciousProver<F>::ExpectedVerdicts(c);
     for (int trial = 0; trial < 25; trial++) {
       auto bytes = mp.Emit(c, prg);
       auto result = f.Verify(bytes);
@@ -96,8 +124,9 @@ TEST(FaultInjectionTest, EveryFaultClassYieldsTypedReject) {
   }
 }
 
-// Satellite: every truncation point of both protocol messages decodes to a
-// typed error (or, for the degenerate full-length case, round-trips).
+// Satellite: every truncation point of the proof frame is a kMalformed
+// verdict. (ProtocolMessageTest.SetupMessageRoundTripAndSweeps truncates
+// the setup frame at every point.)
 TEST(FaultInjectionTest, EveryTruncationPointIsHandled) {
   FaultFixture f(403);
   auto mp = f.Prover();
@@ -107,14 +136,6 @@ TEST(FaultInjectionTest, EveryTruncationPointIsHandled) {
     auto result = f.Verify(truncated);
     ASSERT_EQ(result.verdict, VerifyVerdict::kMalformed)
         << "truncation at " << len << "/" << bytes.size();
-  }
-
-  auto setup_bytes = SetupMessage<F>::FromSetup(1, f.setup).Serialize();
-  for (size_t len = 0; len < setup_bytes.size(); len++) {
-    auto decoded =
-        SetupMessage<F>::Deserialize(Corruptor::Truncate(setup_bytes, len));
-    ASSERT_FALSE(decoded.ok()) << "setup truncation at " << len;
-    ASSERT_NE(decoded.status().code(), StatusCode::kOk);
   }
 }
 
@@ -135,20 +156,19 @@ TEST(FaultInjectionTest, RandomByteMutationsOfInstanceProofNeverAccept) {
   }
 }
 
-// Satellite: 1k random single-byte mutations of the setup message — the
+// Satellite: 1k random single-byte mutations of the setup frame — the
 // prover-side decoder returns a typed status on every input, and a decode
 // that still succeeds re-serializes canonically (no smuggled non-canonical
 // state survives a round-trip).
 TEST(FaultInjectionTest, RandomByteMutationsOfSetupMessageNeverCrash) {
   FaultFixture f(406);
-  auto setup_bytes = SetupMessage<F>::FromSetup(1, f.setup).Serialize();
   Prg prg(407);
   size_t decoded_ok = 0;
   for (int trial = 0; trial < 1000; trial++) {
     auto corrupted = Corruptor::MutateByte(
-        setup_bytes, prg.NextBounded(setup_bytes.size()),
+        f.setup_frame, prg.NextBounded(f.setup_frame.size()),
         static_cast<uint8_t>(1 + prg.NextBounded(255)));
-    auto decoded = SetupMessage<F>::Deserialize(corrupted);
+    auto decoded = protocol::SetupMessage<F>::Deserialize(corrupted);
     if (decoded.ok()) {
       decoded_ok++;
       auto reencoded = decoded->Serialize();
@@ -161,79 +181,90 @@ TEST(FaultInjectionTest, RandomByteMutationsOfSetupMessageNeverCrash) {
   EXPECT_GT(decoded_ok, 0u);
 }
 
-// A mutated-but-decodable setup message must not lead the prover into
-// producing an accepted proof: prove against each corrupted setup and check
-// the real verifier rejects.
+// A mutated-but-decodable setup frame must not lead the prover into
+// producing an accepted proof: a prover session ingests each corrupted
+// frame, proves, and the real verifier decides. The mutations skip g and
+// h, which the prover never uses. A mutation at a coordinate where the
+// proof vector is 0 leaves the proof honest, so it must be accepted.
 TEST(FaultInjectionTest, ProofsUnderMutatedSetupAreRejected) {
   FaultFixture f(408);
-  auto setup_bytes = SetupMessage<F>::FromSetup(1, f.setup).Serialize();
-  Prg prg(409);
-  int proved = 0;
-  for (int trial = 0; trial < 40 && proved < 10; trial++) {
-    // Skip the 8-byte query seed: mutating it leaves Enc(r) and t intact,
-    // so the resulting proof would be honest (and rightly accepted).
-    size_t pos = 8 + prg.NextBounded(setup_bytes.size() - 8);
-    auto corrupted = Corruptor::MutateByte(
-        setup_bytes, pos, static_cast<uint8_t>(1 + prg.NextBounded(255)));
-    auto decoded = SetupMessage<F>::Deserialize(corrupted);
-    if (!decoded.ok()) {
-      continue;
-    }
-    if (decoded->enc_r[0].size() != f.setup.shared[0].enc_r.size() ||
-        decoded->enc_r[1].size() != f.setup.shared[1].enc_r.size() ||
-        decoded->t[0].size() != f.setup.shared[0].t.size() ||
-        decoded->t[1].size() != f.setup.shared[1].t.size()) {
-      continue;  // prover would reject a setup of the wrong shape
-    }
-    proved++;
-    typename Arg::InstanceProof ip;
-    const std::vector<F>* vectors[2] = {&f.proof.z, &f.proof.h};
-    for (size_t o = 0; o < 2; o++) {
-      auto part = LinearCommitment<F>::Prove(
-          *vectors[o], decoded->enc_r[o],
-          Adapter::OracleQueries(f.setup.queries, o), decoded->t[o]);
-      ASSERT_TRUE(part.ok()) << part.status().ToString();
-      ip.parts[o] = std::move(part).value();
-    }
-    auto result =
-        Arg::VerifyInstanceDetailed(f.setup, ip, f.rs.BoundValues());
-    EXPECT_FALSE(result.accepted()) << "mutated-setup trial " << trial;
+  using Zp = ElGamal<F>::Zp;
+  const size_t kZp = Zp::kLimbs * 8, kF = F::kLimbs * 8;
+  const auto vectors = f.Vectors();
+  // Where oracle o's Enc(r) and query rows start, each after its u32
+  // length prefix, and where the oracle ends (t follows the rows).
+  std::array<size_t, 2> enc_r_at{}, rows_at{}, end_at{};
+  size_t at = 2 * kZp;
+  for (size_t o = 0; o < 2; o++) {
+    const size_t n = vectors[o]->size();
+    const size_t rows = Adapter::OracleQueries(f.setup->queries, o).size();
+    enc_r_at[o] = at + 4;
+    rows_at[o] = enc_r_at[o] + n * 2 * kZp + 4;
+    end_at[o] = rows_at[o] + (rows + 1) * n * kF;
+    at = end_at[o];
   }
-  EXPECT_GT(proved, 0);
+  ASSERT_EQ(at, f.setup_frame.size());
+  // The proof-vector coordinate a payload byte feeds, or -1 for a prefix.
+  auto coordinate = [&](size_t o, size_t pos) -> ptrdiff_t {
+    const size_t n = vectors[o]->size();
+    if (pos >= enc_r_at[o] && pos < rows_at[o] - 4) {
+      return static_cast<ptrdiff_t>((pos - enc_r_at[o]) / (2 * kZp));
+    }
+    if (pos >= rows_at[o]) {
+      return static_cast<ptrdiff_t>((pos - rows_at[o]) / kF % n);
+    }
+    return -1;
+  };
+
+  Prg prg(409);
+  int rejected = 0;
+  for (int trial = 0; trial < 200 && rejected < 10; trial++) {
+    const size_t pos = 2 * kZp + prg.NextBounded(at - 2 * kZp);
+    auto corrupted = Corruptor::MutateByte(
+        f.setup_frame, pos, static_cast<uint8_t>(1 + prg.NextBounded(255)));
+    protocol::ProverSession<F> prover;
+    if (!prover.IngestSetup(corrupted).ok() ||
+        !prover.Commit(vectors).ok()) {
+      continue;  // a typed refusal: the prover proves nothing
+    }
+    auto frame = prover.Decommit();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    const size_t o = pos < end_at[0] ? 0 : 1;
+    const ptrdiff_t i = coordinate(o, pos);
+    ASSERT_GE(i, 0) << "a decodable frame with a mutated prefix, trial "
+                    << trial;
+    auto result = f.Verify(*frame);
+    if ((*vectors[o])[i] == F::Zero()) {
+      EXPECT_TRUE(result.accepted()) << "trial " << trial << ": "
+                                     << result.detail;
+    } else {
+      EXPECT_EQ(result.verdict, VerifyVerdict::kRejectCommit)
+          << "mutated-setup trial " << trial;
+      rejected++;
+    }
+  }
+  EXPECT_EQ(rejected, 10);
 }
 
 // Shape violations are caught before any cryptography: wrong response
 // counts and wrong bound-value counts are kMalformed, not UB.
 TEST(FaultInjectionTest, MalformedProofShapesAreScreened) {
   FaultFixture f(410);
-  auto ip = Arg::Prove({&f.proof.z, &f.proof.h}, f.setup);
-
-  {
-    auto short_proof = ip;
-    short_proof.parts[0].responses.pop_back();
-    auto r = Arg::VerifyInstanceDetailed(f.setup, short_proof,
-                                         f.rs.BoundValues());
-    EXPECT_EQ(r.verdict, VerifyVerdict::kMalformed) << r.detail;
-  }
-  {
-    auto long_proof = ip;
-    long_proof.parts[1].responses.push_back(F::One());
-    auto r = Arg::VerifyInstanceDetailed(f.setup, long_proof,
-                                         f.rs.BoundValues());
-    EXPECT_EQ(r.verdict, VerifyVerdict::kMalformed) << r.detail;
-  }
-  {
-    auto bound = f.rs.BoundValues();
-    bound.pop_back();
-    auto r = Arg::VerifyInstanceDetailed(f.setup, ip, bound);
-    EXPECT_EQ(r.verdict, VerifyVerdict::kMalformed) << r.detail;
-  }
-  {
-    Arg::InstanceProof empty_proof{};
-    auto r = Arg::VerifyInstanceDetailed(f.setup, empty_proof,
-                                         f.rs.BoundValues());
-    EXPECT_EQ(r.verdict, VerifyVerdict::kMalformed) << r.detail;
-  }
+  auto mp = f.Prover();
+  EXPECT_EQ(f.Verify(EditedFrame(mp, [](ProofMessage<F>& msg) {
+                       msg.responses[0].pop_back();
+                     })).verdict,
+            VerifyVerdict::kMalformed);
+  EXPECT_EQ(f.Verify(EditedFrame(mp, [](ProofMessage<F>& msg) {
+                       msg.responses[1].push_back(F::One());
+                     })).verdict,
+            VerifyVerdict::kMalformed);
+  auto bound = f.rs.BoundValues();
+  bound.pop_back();
+  EXPECT_EQ(f.Verify(mp.HonestBytes(), bound).verdict,
+            VerifyVerdict::kMalformed);
+  EXPECT_EQ(f.Verify(ProofMessage<F>{}.Serialize()).verdict,
+            VerifyVerdict::kMalformed);
 }
 
 // The PCP decision procedures screen response-vector shape themselves (the
@@ -244,26 +275,26 @@ TEST(FaultInjectionTest, MalformedProofShapesAreScreened) {
 TEST(FaultInjectionTest, PcpDecideRejectsWrongResponseCounts) {
   FaultFixture f(415);
   VectorOracle<F> z(f.proof.z), h(f.proof.h);
-  std::vector<F> z_resp = z.QueryAll(f.setup.queries.z_queries);
-  std::vector<F> h_resp = h.QueryAll(f.setup.queries.h_queries);
-  ASSERT_TRUE(ZaatarPcp<F>::Decide(f.setup.queries, z_resp, h_resp,
+  std::vector<F> z_resp = z.QueryAll(f.setup->queries.z_queries);
+  std::vector<F> h_resp = h.QueryAll(f.setup->queries.h_queries);
+  ASSERT_TRUE(ZaatarPcp<F>::Decide(f.setup->queries, z_resp, h_resp,
                                    f.rs.BoundValues()));
 
   auto short_z = z_resp;
   short_z.pop_back();
-  EXPECT_FALSE(ZaatarPcp<F>::Decide(f.setup.queries, short_z, h_resp,
+  EXPECT_FALSE(ZaatarPcp<F>::Decide(f.setup->queries, short_z, h_resp,
                                     f.rs.BoundValues()));
   auto long_h = h_resp;
   long_h.push_back(F::One());
-  EXPECT_FALSE(ZaatarPcp<F>::Decide(f.setup.queries, z_resp, long_h,
+  EXPECT_FALSE(ZaatarPcp<F>::Decide(f.setup->queries, z_resp, long_h,
                                     f.rs.BoundValues()));
 
-  Status s = ZaatarPcp<F>::ValidateResponseShape(f.setup.queries, short_z,
+  Status s = ZaatarPcp<F>::ValidateResponseShape(f.setup->queries, short_z,
                                                  h_resp);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kShapeMismatch);
   EXPECT_TRUE(
-      ZaatarPcp<F>::ValidateResponseShape(f.setup.queries, z_resp, h_resp)
+      ZaatarPcp<F>::ValidateResponseShape(f.setup->queries, z_resp, h_resp)
           .ok());
 }
 
@@ -291,108 +322,56 @@ TEST(FaultInjectionTest, GingerPcpDecideRejectsWrongResponseCounts) {
 // The verdict taxonomy separates the three reject layers.
 TEST(FaultInjectionTest, VerdictTaxonomyDistinguishesLayers) {
   FaultFixture f(411);
-  auto ip = Arg::Prove({&f.proof.z, &f.proof.h}, f.setup);
+  auto mp = f.Prover();
 
   // Honest: accept.
-  EXPECT_EQ(
-      Arg::VerifyInstanceDetailed(f.setup, ip, f.rs.BoundValues()).verdict,
-      VerifyVerdict::kAccept);
+  EXPECT_EQ(f.Verify(mp.HonestBytes()).verdict, VerifyVerdict::kAccept);
 
   // Tampered response (commitment now inconsistent): REJECT_COMMIT.
-  auto tampered = ip;
-  tampered.parts[0].responses[0] += F::One();
-  EXPECT_EQ(
-      Arg::VerifyInstanceDetailed(f.setup, tampered, f.rs.BoundValues())
-          .verdict,
-      VerifyVerdict::kRejectCommit);
+  EXPECT_EQ(f.Verify(EditedFrame(mp, [](ProofMessage<F>& msg) {
+                       msg.responses[0][0] += F::One();
+                     })).verdict,
+            VerifyVerdict::kRejectCommit);
 
   // Wrong output claim with a commitment-consistent proof: REJECT_PCP.
   auto bad_bound = f.rs.BoundValues();
   bad_bound.back() += F::One();
-  EXPECT_EQ(Arg::VerifyInstanceDetailed(f.setup, ip, bad_bound).verdict,
+  EXPECT_EQ(f.Verify(mp.HonestBytes(), bad_bound).verdict,
             VerifyVerdict::kRejectPcp);
 }
 
-// One hostile instance in a batch is isolated: the other beta-1 verdicts
-// are unaffected and the batch call returns normally.
+// One hostile instance in a batch is isolated by HandleProof: the other
+// beta-1 verdicts are unaffected and the session keeps deciding.
 TEST(FaultInjectionTest, BatchIsolatesBadInstances) {
   FaultFixture f(412);
-  const size_t kBeta = 5;
-  std::vector<typename Arg::InstanceProof> proofs;
-  std::vector<std::vector<F>> bounds;
-  for (size_t i = 0; i < kBeta; i++) {
-    proofs.push_back(Arg::Prove({&f.proof.z, &f.proof.h}, f.setup));
-    bounds.push_back(f.rs.BoundValues());
+  const uint32_t kBeta = 5;
+  std::vector<std::vector<uint8_t>> frames;
+  for (uint32_t i = 0; i < kBeta; i++) {
+    frames.push_back(ProveFrame<F>(f.setup_frame, f.Vectors(), i));
   }
-  // Instance 1: malformed shape. Instance 3: inconsistent response.
-  proofs[1].parts[0].responses.clear();
-  proofs[3].parts[1].responses[0] += F::One();
+  auto edit = [&frames](uint32_t i, auto fn) {
+    ProofMessage<F> msg = ProofMessage<F>::Deserialize(frames[i]).value();
+    fn(msg);
+    frames[i] = msg.Serialize();
+  };
+  // Instance 1: malformed shape. Instance 2: undecodable bytes. Instance 3:
+  // inconsistent response.
+  edit(1, [](ProofMessage<F>& msg) { msg.responses[0].clear(); });
+  frames[2] = {0xFF, 0x00, 0xBA, 0xAD};
+  edit(3, [](ProofMessage<F>& msg) { msg.responses[1][0] += F::One(); });
 
-  auto results_or = Arg::VerifyBatch(f.setup, proofs, bounds);
-  ASSERT_TRUE(results_or.ok()) << results_or.status().ToString();
-  auto& results = *results_or;
+  VerifierSession<F, Adapter> verifier(f.setup);
+  for (uint32_t i = 0; i < kBeta; i++) {
+    ASSERT_TRUE(verifier.HandleProof(frames[i], f.rs.BoundValues()).ok());
+    ASSERT_TRUE(verifier.EmitVerdict().ok());
+  }
+  const auto& results = verifier.results();
   ASSERT_EQ(results.size(), kBeta);
-  EXPECT_EQ(results[0].verdict, VerifyVerdict::kAccept);
+  EXPECT_EQ(results[0].verdict, VerifyVerdict::kAccept) << results[0].detail;
   EXPECT_EQ(results[1].verdict, VerifyVerdict::kMalformed);
-  EXPECT_EQ(results[2].verdict, VerifyVerdict::kAccept);
+  EXPECT_EQ(results[2].verdict, VerifyVerdict::kMalformed);
   EXPECT_EQ(results[3].verdict, VerifyVerdict::kRejectCommit);
-  EXPECT_EQ(results[4].verdict, VerifyVerdict::kAccept);
-
-  // Same isolation at the bytes boundary, with a fully hostile slot.
-  std::vector<std::vector<uint8_t>> wire(kBeta);
-  for (size_t i = 0; i < kBeta; i++) {
-    proofs[i] = Arg::Prove({&f.proof.z, &f.proof.h}, f.setup);
-    wire[i] =
-        InstanceProofMessage<F>::FromProof<Adapter>(proofs[i]).Serialize();
-  }
-  wire[2] = {0xFF, 0x00, 0xBA, 0xAD};
-  auto wire_results = VerifyBatchBytes<F, Adapter>(f.setup, wire, bounds);
-  ASSERT_EQ(wire_results.size(), kBeta);
-  for (size_t i = 0; i < kBeta; i++) {
-    if (i == 2) {
-      EXPECT_EQ(wire_results[i].verdict, VerifyVerdict::kMalformed);
-    } else {
-      EXPECT_EQ(wire_results[i].verdict, VerifyVerdict::kAccept)
-          << "instance " << i << ": " << wire_results[i].detail;
-    }
-  }
-}
-
-// A proofs/bound-values count mismatch is a batch-assembly bug on the
-// caller's side, not a per-instance outcome: VerifyBatch rejects it up front
-// with a typed error naming the first unmatched instance, and the bytes-level
-// batch keeps its per-instance isolation semantics with the index named in
-// the malformed slot's detail.
-TEST(FaultInjectionTest, BatchShapeMismatchIsTypedError) {
-  FaultFixture f(414);
-  std::vector<typename Arg::InstanceProof> proofs;
-  std::vector<std::vector<F>> bounds;
-  for (size_t i = 0; i < 3; i++) {
-    proofs.push_back(Arg::Prove({&f.proof.z, &f.proof.h}, f.setup));
-    if (i < 2) {
-      bounds.push_back(f.rs.BoundValues());
-    }
-  }
-
-  auto results = Arg::VerifyBatch(f.setup, proofs, bounds);
-  ASSERT_FALSE(results.ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kMalformed);
-  EXPECT_NE(results.status().message().find("first unmatched instance: 2"),
-            std::string::npos)
-      << results.status().message();
-
-  std::vector<std::vector<uint8_t>> wire;
-  for (const auto& proof : proofs) {
-    wire.push_back(
-        InstanceProofMessage<F>::FromProof<Adapter>(proof).Serialize());
-  }
-  auto wire_results = VerifyBatchBytes<F, Adapter>(f.setup, wire, bounds);
-  ASSERT_EQ(wire_results.size(), 3u);
-  EXPECT_TRUE(wire_results[0].accepted());
-  EXPECT_TRUE(wire_results[1].accepted());
-  EXPECT_EQ(wire_results[2].verdict, VerifyVerdict::kMalformed);
-  EXPECT_NE(wire_results[2].detail.find("instance 2"), std::string::npos)
-      << wire_results[2].detail;
+  EXPECT_EQ(results[4].verdict, VerifyVerdict::kAccept) << results[4].detail;
 }
 
 // The Ginger baseline pipeline is hardened by the same layer.
@@ -400,28 +379,28 @@ TEST(FaultInjectionTest, GingerArgumentScreensMalformedProofs) {
   Prg prg(413);
   auto rs = MakeRandomSatisfiedSystem<F>(prg, 8, 2, 2, 14);
   auto inst = BuildGingerPcpInstance(rs.system);
-  auto setup = GingerArgument<F>::Setup(
-      GingerPcp<F>::GenerateQueries(inst, PcpParams::Light(), prg), prg);
+  auto setup = std::make_shared<const GingerArgument<F>::VerifierSetup>(
+      GingerArgument<F>::Setup(
+          GingerPcp<F>::GenerateQueries(inst, PcpParams::Light(), prg), prg));
   auto proof = BuildGingerProof(inst, rs.assignment);
-  auto ip = GingerArgument<F>::Prove({&proof.z, &proof.tensor}, setup);
+  auto frame =
+      ProveFrame<F>(setup->EncodeSetupMessage(), {&proof.z, &proof.tensor});
+  auto verify = [&setup](const std::vector<uint8_t>& bytes,
+                         const std::vector<F>& bound) {
+    VerifierSession<F, GingerAdapter<F>> verifier(setup);
+    return verifier.HandleProof(bytes, bound).value().verdict;
+  };
 
-  EXPECT_EQ(GingerArgument<F>::VerifyInstanceDetailed(setup, ip,
-                                                      rs.BoundValues())
-                .verdict,
-            VerifyVerdict::kAccept);
+  EXPECT_EQ(verify(frame, rs.BoundValues()), VerifyVerdict::kAccept);
 
-  auto short_proof = ip;
-  short_proof.parts[0].responses.pop_back();
-  EXPECT_EQ(GingerArgument<F>::VerifyInstanceDetailed(setup, short_proof,
-                                                      rs.BoundValues())
-                .verdict,
+  auto short_proof = ProofMessage<F>::Deserialize(frame).value();
+  short_proof.responses[0].pop_back();
+  EXPECT_EQ(verify(short_proof.Serialize(), rs.BoundValues()),
             VerifyVerdict::kMalformed);
 
   auto bad_bound = rs.BoundValues();
   bad_bound.pop_back();
-  EXPECT_EQ(
-      GingerArgument<F>::VerifyInstanceDetailed(setup, ip, bad_bound).verdict,
-      VerifyVerdict::kMalformed);
+  EXPECT_EQ(verify(frame, bad_bound), VerifyVerdict::kMalformed);
 }
 
 // A dropped constraint is invisible to the protocol (honest witnesses still

@@ -289,9 +289,12 @@ class HarnessTraceTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto app = MakeLcsApp(8);
     auto program = CompileZlang<F128>(app.source);
+    MeasureOptions opt;
+    opt.measure_native = false;
+    opt.prover_threads = 1;
     measurement_ = new BatchMeasurement(
-        MeasureZaatarBatch(app, program, kBeta, PcpParams::Light(),
-                           /*seed=*/42, /*measure_native=*/false));
+        MeasureBatch<F128, ZaatarHarnessBackend<F128>>(
+            app, program, kBeta, PcpParams::Light(), /*seed=*/42, opt));
     ASSERT_TRUE(measurement_->all_accepted);
   }
   static void TearDownTestSuite() {
@@ -412,17 +415,22 @@ TEST_F(HarnessTraceTest, MetricsCountTheProtocolTraffic) {
   const obs::Metrics& m = *measurement_->metrics;
   EXPECT_EQ(m.CounterValue("transport.frames_sent"), 1 + 2 * kBeta);
   EXPECT_EQ(m.CounterValue("transport.frames_received"), 1 + 2 * kBeta);
-  auto frame_bytes = m.HistogramValue("transport.frame_bytes");
-  EXPECT_EQ(frame_bytes.count, 2 * (1 + 2 * kBeta));
-  // Both endpoints observed every frame: setup + proofs + the (empty-detail)
-  // accept verdicts.
+  // The two endpoints share this registry, so each direction's histogram
+  // saw every frame once: setup + proofs + the (empty-detail) accept
+  // verdicts.
   const size_t verdict_bytes =
       protocol::VerdictMessage::FromResult(0, VerifyInstanceResult::Accept())
           .Serialize()
           .size();
-  EXPECT_EQ(frame_bytes.sum, 2 * (measurement_->setup_message_bytes +
-                                  measurement_->proof_message_bytes +
-                                  kBeta * verdict_bytes));
+  for (const char* name :
+       {"transport.frame_bytes_sent", "transport.frame_bytes_received"}) {
+    auto frame_bytes = m.HistogramValue(name);
+    EXPECT_EQ(frame_bytes.count, 1 + 2 * kBeta) << name;
+    EXPECT_EQ(frame_bytes.sum, measurement_->setup_message_bytes +
+                                   measurement_->proof_message_bytes +
+                                   kBeta * verdict_bytes)
+        << name;
+  }
   EXPECT_EQ(m.CounterValue("verdict.ACCEPT"), kBeta);
   EXPECT_EQ(m.CounterValue("verdict.MALFORMED"), 0u);
   // Each instance commits two oracles through the Pippenger kernel.
@@ -436,7 +444,7 @@ TEST_F(HarnessTraceTest, BatchExportsAsJson) {
       obs::ExportJson(measurement_->trace.get(), measurement_->metrics.get());
   EXPECT_NE(json.find("\"harness.batch\""), std::string::npos);
   EXPECT_NE(json.find("\"transport.frames_sent\""), std::string::npos);
-  EXPECT_NE(json.find("\"transport.frame_bytes\""), std::string::npos);
+  EXPECT_NE(json.find("\"transport.frame_bytes_sent\""), std::string::npos);
   EXPECT_EQ(json, obs::ExportJson(measurement_->trace.get(),
                                   measurement_->metrics.get()));
 }

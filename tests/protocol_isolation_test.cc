@@ -1,15 +1,18 @@
 // Include-graph enforcement of the protocol trust boundary: the prover-side
 // session headers must be compilable WITHOUT pulling in the verifier's
-// secret state. This file includes only the prover-side headers and then
-// fails the build if any verifier-secret header leaked in transitively —
-// the strongest "ProverSession cannot reach VerifierSecrets" statement the
-// language offers short of a separate process.
+// secret state. This file includes only the prover-side headers, among
+// them the fault-injection harness (its MaliciousProver must attack with
+// no more than a remote prover sees), and then fails the build if any
+// verifier-secret header leaked in transitively — the strongest
+// "ProverSession cannot reach VerifierSecrets" statement the language
+// offers short of a separate process.
 
 #include "src/protocol/prover_session.h"
 
 #include "src/protocol/messages.h"
 #include "src/protocol/prover_context.h"
 #include "src/protocol/transport.h"
+#include "src/testing/fault_injection.h"
 
 // The verifier's secrets live in src/argument/argument.h (VerifierSecrets:
 // the ElGamal secret key, the plaintext r vectors, the alphas) and the
@@ -21,9 +24,6 @@
 #endif
 #ifdef SRC_PROTOCOL_VERIFIER_SESSION_H_
 #error "prover-side protocol headers leak verifier_session.h"
-#endif
-#ifdef SRC_ARGUMENT_WIRE_H_
-#error "prover-side protocol headers leak src/argument/wire.h"
 #endif
 
 #include <gtest/gtest.h>

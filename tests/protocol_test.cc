@@ -31,7 +31,6 @@ namespace {
 
 using F = F128;
 using Adapter = ZaatarAdapter<F>;
-using Arg = ZaatarArgument<F>;
 using protocol::ProverSession;
 using protocol::SessionPhase;
 using protocol::VerifierSession;
@@ -318,25 +317,17 @@ TEST(ProtocolMessageTest, ThreadedSetupCodecMatchesReferenceF220) {
 
 TEST(ProtocolMessageTest, ProofMessageRoundTripAndSweeps) {
   SessionFixture f(501, /*unbound=*/4, /*constraints=*/6);
-  auto ip = Arg::Prove(f.Vectors(), f.verifier.setup());
-  protocol::ProofMessage<F> msg;
-  msg.instance_index = 7;
-  for (size_t o = 0; o < 2; o++) {
-    msg.commitments[o] = ip.parts[o].commitment;
-    msg.responses[o] = ip.parts[o].responses;
-    msg.t_responses[o] = ip.parts[o].t_response;
-  }
-  auto bytes = msg.Serialize();
+  auto bytes =
+      ProveFrame<F>(f.verifier.setup().EncodeSetupMessage(), f.Vectors(), 7);
 
   auto decoded = protocol::ProofMessage<F>::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->instance_index, 7u);
   for (size_t o = 0; o < 2; o++) {
-    EXPECT_EQ(decoded->commitments[o].c1, msg.commitments[o].c1);
-    EXPECT_EQ(decoded->commitments[o].c2, msg.commitments[o].c2);
-    EXPECT_EQ(decoded->responses[o], msg.responses[o]);
-    EXPECT_EQ(decoded->t_responses[o], msg.t_responses[o]);
+    EXPECT_EQ(decoded->responses[o].size(),
+              Adapter::OracleQueries(f.verifier.setup().queries, o).size());
   }
+  EXPECT_EQ(decoded->Serialize(), bytes);
 
   ExpectTruncationSweepRejects(bytes, [](const std::vector<uint8_t>& b) {
     return protocol::ProofMessage<F>::Deserialize(b);
@@ -395,34 +386,35 @@ TEST(ProtocolMessageTest, VerdictDetailIsBounded) {
   EXPECT_TRUE(protocol::VerdictMessage::Deserialize(bounded.Serialize()).ok());
 }
 
-// The prover's context reconstructed from bytes must equal the verifier's
-// in-process ProverView — serialization loses nothing the prover needs.
-TEST(ProtocolMessageTest, ProverContextFromBytesMatchesProverView) {
+// The prover's context reconstructed from bytes must equal the shared half
+// of the verifier's setup — serialization loses nothing the prover needs.
+TEST(ProtocolMessageTest, ProverContextFromBytesMatchesTheSetup) {
   SessionFixture f(502, /*unbound=*/4, /*constraints=*/6);
-  auto view = f.verifier.setup().ProverView();
-  auto from_bytes =
-      ProverContext<F>::FromBytes(f.verifier.setup().EncodeSetupMessage());
+  const auto& setup = f.verifier.setup();
+  auto from_bytes = ProverContext<F>::FromBytes(setup.EncodeSetupMessage());
   ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
-  EXPECT_EQ(from_bytes->pk.g, view.pk.g);
-  EXPECT_EQ(from_bytes->pk.h, view.pk.h);
+  EXPECT_EQ(from_bytes->pk.g, setup.pk.g);
+  EXPECT_EQ(from_bytes->pk.h, setup.pk.h);
   for (size_t o = 0; o < 2; o++) {
-    EXPECT_EQ(from_bytes->oracles[o].queries, view.oracles[o].queries);
-    EXPECT_EQ(from_bytes->oracles[o].t, view.oracles[o].t);
-    ASSERT_EQ(from_bytes->oracles[o].enc_r.size(),
-              view.oracles[o].enc_r.size());
-    for (size_t i = 0; i < view.oracles[o].enc_r.size(); i++) {
-      EXPECT_EQ(from_bytes->oracles[o].enc_r[i].c1,
-                view.oracles[o].enc_r[i].c1);
-      EXPECT_EQ(from_bytes->oracles[o].enc_r[i].c2,
-                view.oracles[o].enc_r[i].c2);
+    EXPECT_EQ(from_bytes->oracles[o].queries,
+              Adapter::OracleQueries(setup.queries, o));
+    EXPECT_EQ(from_bytes->oracles[o].t, setup.shared[o].t);
+    const auto& enc_r = setup.shared[o].enc_r;
+    ASSERT_EQ(from_bytes->oracles[o].enc_r.size(), enc_r.size());
+    for (size_t i = 0; i < enc_r.size(); i++) {
+      EXPECT_EQ(from_bytes->oracles[o].enc_r[i].c1, enc_r[i].c1);
+      EXPECT_EQ(from_bytes->oracles[o].enc_r[i].c2, enc_r[i].c2);
     }
   }
 
-  // And a proof generated from the byte-derived context is accepted by the
-  // real verifier: the two-party path proves against the same material.
-  auto ip = Arg::Prove(f.Vectors(), *from_bytes);
-  EXPECT_TRUE(
-      Arg::VerifyInstance(f.verifier.setup(), ip, f.rs.BoundValues()));
+  // And a proof from a session built on those bytes is accepted by the
+  // real verifier: the two parties prove and check the same material.
+  ASSERT_TRUE(f.verifier.EmitSetup().ok());
+  auto result = f.verifier.HandleProof(
+      ProveFrame<F>(setup.EncodeSetupMessage(), f.Vectors()),
+      f.rs.BoundValues());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->accepted()) << result->detail;
 }
 
 // Cross-field invariants the structural decoder cannot see are enforced in
@@ -474,21 +466,14 @@ TEST(ProtocolPhaseTest, VerifierSessionEnforcesPhases) {
   ASSERT_FALSE(no_proof.ok());
   EXPECT_EQ(no_proof.status().code(), StatusCode::kPhaseViolation);
 
-  auto ip = Arg::Prove(f.Vectors(), v.setup());
-  protocol::ProofMessage<F> msg;
-  msg.instance_index = 0;
-  for (size_t o = 0; o < 2; o++) {
-    msg.commitments[o] = ip.parts[o].commitment;
-    msg.responses[o] = ip.parts[o].responses;
-    msg.t_responses[o] = ip.parts[o].t_response;
-  }
-  auto result = v.HandleProof(msg.Serialize(), f.rs.BoundValues());
+  auto frame = ProveFrame<F>(v.setup().EncodeSetupMessage(), f.Vectors());
+  auto result = v.HandleProof(frame, f.rs.BoundValues());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->accepted()) << result->detail;
   EXPECT_EQ(v.phase(), SessionPhase::kDecide);
 
   // Two proofs without an intervening verdict violate the cycle.
-  auto second = v.HandleProof(msg.Serialize(), f.rs.BoundValues());
+  auto second = v.HandleProof(frame, f.rs.BoundValues());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kPhaseViolation);
 
@@ -582,23 +567,17 @@ TEST(ProtocolSessionTest, HostileProofBytesAreIsolatedPerInstance) {
   EXPECT_EQ(hostile->verdict, VerifyVerdict::kMalformed);
   ASSERT_TRUE(v.EmitVerdict().ok());
 
-  // Instance 1: an honest proof mislabeled as instance 0 (a replay).
-  auto ip = Arg::Prove(f.Vectors(), v.setup());
-  protocol::ProofMessage<F> msg;
-  msg.instance_index = 0;
-  for (size_t o = 0; o < 2; o++) {
-    msg.commitments[o] = ip.parts[o].commitment;
-    msg.responses[o] = ip.parts[o].responses;
-    msg.t_responses[o] = ip.parts[o].t_response;
-  }
-  auto replay = v.HandleProof(msg.Serialize(), f.rs.BoundValues());
+  // Instance 1: an honest proof labeled as instance 0 (a replay).
+  const std::vector<uint8_t> setup_frame = v.setup().EncodeSetupMessage();
+  auto replay = v.HandleProof(ProveFrame<F>(setup_frame, f.Vectors(), 0),
+                              f.rs.BoundValues());
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay->verdict, VerifyVerdict::kMalformed);
   ASSERT_TRUE(v.EmitVerdict().ok());
 
   // Instance 2: honest and correctly labeled — accepted.
-  msg.instance_index = 2;
-  auto honest = v.HandleProof(msg.Serialize(), f.rs.BoundValues());
+  auto honest = v.HandleProof(ProveFrame<F>(setup_frame, f.Vectors(), 2),
+                              f.rs.BoundValues());
   ASSERT_TRUE(honest.ok());
   EXPECT_TRUE(honest->accepted()) << honest->detail;
 

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/argument/argument.h"
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
+#include "src/protocol/verifier_session.h"
+#include "src/testing/fault_injection.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
@@ -59,17 +63,26 @@ TEST(WideFieldTest, FullArgumentWithElGamal220Group) {
   Prg prg(402);
   auto f = Fixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
+  auto setup = std::make_shared<const ZaatarArgument<F>::VerifierSetup>(
+      ZaatarArgument<F>::Setup(
+          ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg));
   auto w = f.transform.ExtendAssignment(f.rs.assignment);
   auto proof = BuildZaatarProof(qap, w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
-  EXPECT_TRUE(
-      ZaatarArgument<F>::VerifyInstance(setup, ip, f.rs.BoundValues()));
-  auto tampered = ip;
-  tampered.parts[1].responses[0] += F::One();
-  EXPECT_FALSE(
-      ZaatarArgument<F>::VerifyInstance(setup, tampered, f.rs.BoundValues()));
+  const std::vector<uint8_t> setup_frame = setup->EncodeSetupMessage();
+  auto frame = ProveFrame<F>(setup_frame, {&proof.z, &proof.h});
+  protocol::VerifierSession<F, ZaatarAdapter<F>> verifier(setup);
+  auto honest = verifier.HandleProof(frame, f.rs.BoundValues());
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_TRUE(honest->accepted()) << honest->detail;
+  ASSERT_TRUE(verifier.EmitVerdict().ok());
+
+  auto msg = protocol::ProofMessage<F>::Deserialize(
+                 ProveFrame<F>(setup_frame, {&proof.z, &proof.h}, 1))
+                 .value();
+  msg.responses[1][0] += F::One();
+  auto tampered = verifier.HandleProof(msg.Serialize(), f.rs.BoundValues());
+  ASSERT_TRUE(tampered.ok()) << tampered.status().ToString();
+  EXPECT_EQ(tampered->verdict, VerifyVerdict::kRejectCommit);
 }
 
 TEST(WideFieldTest, GingerPcpOverF220) {

@@ -1,15 +1,16 @@
-// Serialization round-trips, validation, and an end-to-end argument run
-// where every message crosses a (simulated) wire. Decode failures are typed
+// Serialization round-trips and validation, and the byte sizes of the
+// session frames against the network cost model. Decode failures are typed
 // Status values, never exceptions: the deserialization path is a trust
 // boundary against a malicious peer.
 
 #include <gtest/gtest.h>
 
+#include "src/argument/argument.h"
 #include "src/argument/cost_model.h"
-#include "src/argument/wire.h"
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
+#include "src/testing/fault_injection.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
@@ -124,102 +125,22 @@ struct WireFixture {
   }
 };
 
-TEST(WireTest, InstanceProofMessageRoundTrips) {
-  Prg prg(301);
-  auto f = WireFixture::Make(prg);
-  Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
-  auto w = f.transform.ExtendAssignment(f.rs.assignment);
-  auto proof = BuildZaatarProof(qap, w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
-
-  auto msg = InstanceProofMessage<F>::FromProof<ZaatarAdapter<F>>(ip);
-  auto bytes = msg.Serialize();
-  auto decoded = InstanceProofMessage<F>::Deserialize(bytes);
-  ASSERT_TRUE(decoded.ok());
-  auto rebuilt = decoded->ToProof<ZaatarAdapter<F>>();
-  EXPECT_TRUE(
-      ZaatarArgument<F>::VerifyInstance(setup, rebuilt, f.rs.BoundValues()));
-
-  // Bit-flip anywhere in the message: either decode fails or the verifier
-  // rejects — never a silent acceptance of a corrupted proof, and never an
-  // exception out of the ingest path.
-  Prg flip(302);
-  for (int trial = 0; trial < 10; trial++) {
-    auto corrupted = bytes;
-    corrupted[flip.NextBounded(corrupted.size())] ^=
-        static_cast<uint8_t>(1 + flip.NextBounded(255));
-    auto result = VerifyInstanceBytes<F, ZaatarAdapter<F>>(
-        setup, corrupted, f.rs.BoundValues());
-    EXPECT_FALSE(result.accepted()) << "corruption trial " << trial;
-  }
-}
-
-TEST(WireTest, SetupMessageRoundTripsAndSeedRederivesQueries) {
-  Prg sys_prg(303);
-  auto f = WireFixture::Make(sys_prg);
-  Qap<F> qap(f.transform.r1cs);
-
-  // Public-coin queries from a dedicated seed; secrets from a separate Prg.
-  const uint64_t kQuerySeed = 0xC0FFEE;
-  Prg query_prg(kQuerySeed);
-  Prg secret_prg(0x5EC2E7);
-  auto setup = ZaatarArgument<F>::Setup(
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), query_prg),
-      secret_prg);
-
-  auto msg = SetupMessage<F>::FromSetup(kQuerySeed, setup);
-  auto bytes = msg.Serialize();
-  auto decoded_or = SetupMessage<F>::Deserialize(bytes);
-  ASSERT_TRUE(decoded_or.ok());
-  const auto& decoded = *decoded_or;
-  EXPECT_EQ(decoded.query_seed, kQuerySeed);
-  EXPECT_EQ(decoded.t[0], setup.shared[0].t);
-  EXPECT_EQ(decoded.enc_r[1].size(), setup.shared[1].enc_r.size());
-
-  // The prover re-derives identical queries from the seed alone.
-  Prg rederive(decoded.query_seed);
-  auto queries2 =
-      ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), rederive);
-  ASSERT_EQ(queries2.z_queries.size(), setup.queries.z_queries.size());
-  for (size_t i = 0; i < queries2.z_queries.size(); i++) {
-    EXPECT_EQ(queries2.z_queries[i], setup.queries.z_queries[i]);
-  }
-
-  // And a prover working entirely from the wire message produces a proof
-  // the verifier accepts.
-  auto w = f.transform.ExtendAssignment(f.rs.assignment);
-  auto proof = BuildZaatarProof(qap, w);
-  typename ZaatarArgument<F>::InstanceProof ip;
-  const std::vector<F>* vectors[2] = {&proof.z, &proof.h};
-  for (size_t o = 0; o < 2; o++) {
-    auto part = LinearCommitment<F>::Prove(
-        *vectors[o], decoded.enc_r[o],
-        ZaatarAdapter<F>::OracleQueries(queries2, o), decoded.t[o]);
-    ASSERT_TRUE(part.ok()) << part.status().ToString();
-    ip.parts[o] = std::move(part).value();
-  }
-  EXPECT_TRUE(
-      ZaatarArgument<F>::VerifyInstance(setup, ip, f.rs.BoundValues()));
-}
-
 TEST(WireTest, HostileLengthPrefixFailsWithoutAllocating) {
   Prg prg(305);
   auto f = WireFixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
   auto setup = ZaatarArgument<F>::Setup(
       ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
-  auto bytes = SetupMessage<F>::FromSetup(1, setup).Serialize();
+  auto bytes = setup.EncodeSetupMessage();
 
-  // The first enc_r length prefix sits right after the 8-byte seed. Claim
+  // The first Enc(r) length prefix sits right after g and h. Claim
   // 0xFFFFFFFF ciphertexts: decode must fail with LENGTH_OVERFLOW before
   // reserving ~2^32 * 256 bytes.
-  bytes[8] = 0xFF;
-  bytes[9] = 0xFF;
-  bytes[10] = 0xFF;
-  bytes[11] = 0xFF;
-  auto decoded = SetupMessage<F>::Deserialize(bytes);
+  const size_t kPrefix = 2 * ElGamal<F>::Zp::kLimbs * 8;
+  for (size_t i = 0; i < 4; i++) {
+    bytes[kPrefix + i] = 0xFF;
+  }
+  auto decoded = protocol::SetupMessage<F>::Deserialize(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kLengthOverflow);
 }
@@ -234,21 +155,22 @@ TEST(WireTest, MeasuredBytesMatchTheCostModel) {
   size_t proof_len = queries.z_len + queries.h_len;
   size_t num_queries = queries.TotalQueryCount();
   auto setup = ZaatarArgument<F>::Setup(std::move(queries), sprg);
+  const size_t field_bytes = F::kLimbs * 8;
+  const size_t group_bytes = ElGamal<F>::Zp::kLimbs * 8;
 
-  auto setup_msg = SetupMessage<F>::FromSetup(1, setup);
-  size_t field_bytes = F::kLimbs * 8;
-  // Model: proof_len * (2 group + field) + seed; actual adds small framing.
-  size_t modeled = NetworkCosts::SetupBytes(proof_len, field_bytes);
-  size_t actual = setup_msg.Serialize().size();
-  EXPECT_NEAR(static_cast<double>(actual), static_cast<double>(modeled),
-              64.0);
+  // The model prices the queries as a 32-byte seed. The frame carries g and
+  // h, four u32 length prefixes, and every query row in plaintext instead.
+  size_t modeled =
+      NetworkCosts::SetupBytes(proof_len, field_bytes, group_bytes) - 32 +
+      2 * group_bytes + 4 * 4 + setup.TotalQueryElements() * field_bytes;
+  EXPECT_EQ(setup.EncodeSetupMessage().size(), modeled);
 
   auto w = f.transform.ExtendAssignment(f.rs.assignment);
   auto proof = BuildZaatarProof(qap, w);
-  auto ip = ZaatarArgument<F>::Prove({&proof.z, &proof.h}, setup);
-  auto inst_msg = InstanceProofMessage<F>::FromProof<ZaatarAdapter<F>>(ip);
-  size_t modeled_inst = NetworkCosts::InstanceBytes(num_queries, field_bytes);
-  EXPECT_NEAR(static_cast<double>(inst_msg.Serialize().size()),
+  auto frame = ProveFrame<F>(setup.EncodeSetupMessage(), {&proof.z, &proof.h});
+  size_t modeled_inst =
+      NetworkCosts::InstanceBytes(num_queries, field_bytes, group_bytes);
+  EXPECT_NEAR(static_cast<double>(frame.size()),
               static_cast<double>(modeled_inst), 64.0);
 }
 
