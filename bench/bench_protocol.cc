@@ -1,17 +1,16 @@
 // Measures what the message-driven session layer costs on top of the raw
-// argument: the same batch is run three ways at equal seeds —
+// argument: the same batch is run two ways at equal seeds —
 //
 //   in-process: Commit + Answer + VerifyInstanceDetailed called directly
 //               (no serialization, no threads),
-//   loopback:   ProverSession/VerifierSession exchanging serialized frames
-//               over the in-memory loopback transport (two threads),
-//   socketpair: the same sessions over a real AF_UNIX socketpair with
-//               length-prefixed frames (two threads, kernel copies).
+//   socketpair: ProverSession/VerifierSession exchanging serialized frames
+//               over MeasureBatch's AF_UNIX socketpair with length-prefixed
+//               frames (two threads, kernel copies).
 //
-// Verdicts must be identical across all three paths (the harness contract);
-// a divergence exits nonzero. Emits a human table plus a JSON baseline
-// (default BENCH_protocol.json) with absolute times, overhead ratios, and
-// the bytes moved per batch.
+// Verdicts must be identical across both paths (the harness contract); a
+// divergence exits nonzero. Emits a human table plus a JSON baseline
+// (default BENCH_protocol.json) with absolute times, the overhead ratio, the
+// socketpair run's per-phase breakdown, and the bytes moved per batch.
 //
 // Both modes also time the setup-frame codec on one frame at the paper's
 // parameters (LCS m = 16, 56 MB) against the frozen reference codec, and
@@ -49,12 +48,11 @@ struct Row {
   size_t beta = 0;
   size_t proof_len = 0;
   double in_process_s = 0;   // whole batch, wall clock
-  double loopback_s = 0;
   double socketpair_s = 0;
   size_t setup_bytes = 0;
   size_t proof_bytes = 0;  // sum over the batch
 
-  // Per-phase breakdown of the loopback run, derived from its span tree
+  // Per-phase breakdown of the socketpair run, derived from its span tree
   // (all 0.0 under cmake -DZAATAR_TRACE=OFF).
   double query_gen_s = 0;
   double solve_s = 0;      // per instance
@@ -63,13 +61,12 @@ struct Row {
   double answer_s = 0;     // per instance
   double verify_s = 0;     // per instance
 
-  // Recovery counters summed over the loopback + socketpair runs; all zero
-  // on a healthy local channel.
+  // Recovery counters of the socketpair run: no retries, no expired
+  // deadlines and one connection on a healthy local channel.
   size_t transport_retries = 0;
   size_t transport_connections = 0;
   uint64_t deadline_exceeded = 0;
 
-  double LoopbackOverhead() const { return loopback_s / in_process_s - 1.0; }
   double SocketpairOverhead() const {
     return socketpair_s / in_process_s - 1.0;
   }
@@ -205,7 +202,7 @@ bool VerdictsMatch(const std::vector<VerifyInstanceResult>& a,
 }
 
 bool BenchConfig(size_t lcs_size, size_t beta, uint64_t seed,
-                 const std::string& trace_path, const MeasureOptions& base_opt,
+                 const std::string& trace_path, const MeasureOptions& opt,
                  std::vector<Row>* rows) {
   auto app = MakeLcsApp(lcs_size);
   auto program = CompileZlang<F128>(app.source);
@@ -219,43 +216,30 @@ bool BenchConfig(size_t lcs_size, size_t beta, uint64_t seed,
                                 &row.in_process_s);
 
   Stopwatch sw;
-  MeasureOptions loopback_opt = base_opt;
-  loopback_opt.link = MeasureOptions::Link::kLoopback;
-  auto loopback = MeasureBatch<F128, ZaatarHarnessBackend<F128>>(
-      app, program, beta, params, seed, loopback_opt);
-  row.loopback_s = sw.Lap();
-  row.proof_len = loopback.proof_len;
-  row.setup_bytes = loopback.setup_message_bytes;
-  row.proof_bytes = loopback.proof_message_bytes;
-  row.query_gen_s = loopback.query_generation_s;
-  row.solve_s = loopback.prover.solve_constraints_s;
-  row.construct_s = loopback.prover.construct_proof_s;
-  row.commit_s = loopback.prover.crypto_s;
-  row.answer_s = loopback.prover.answer_queries_s;
-  row.verify_s = loopback.verifier_per_instance_s;
+  auto pipe = MeasureBatch<F128, ZaatarHarnessBackend<F128>>(
+      app, program, beta, params, seed, opt);
+  row.socketpair_s = sw.Lap();
+  row.proof_len = pipe.proof_len;
+  row.setup_bytes = pipe.setup_message_bytes;
+  row.proof_bytes = pipe.proof_message_bytes;
+  row.query_gen_s = pipe.query_generation_s;
+  row.solve_s = pipe.prover.solve_constraints_s;
+  row.construct_s = pipe.prover.construct_proof_s;
+  row.commit_s = pipe.prover.crypto_s;
+  row.answer_s = pipe.prover.answer_queries_s;
+  row.verify_s = pipe.verifier_per_instance_s;
+  row.transport_retries = pipe.transport_retries;
+  row.transport_connections = pipe.transport_connections;
+  row.deadline_exceeded =
+      pipe.metrics->CounterValue("transport.deadline_exceeded");
   if (!trace_path.empty()) {
     std::ofstream trace_out(trace_path, std::ios::binary);
     if (!trace_out) {
       fprintf(stderr, "cannot open %s for writing\n", trace_path.c_str());
       return false;
     }
-    trace_out << obs::ExportJson(loopback.trace.get(),
-                                 loopback.metrics.get());
+    trace_out << obs::ExportJson(pipe.trace.get(), pipe.metrics.get());
   }
-
-  MeasureOptions pipe_opt = base_opt;
-  pipe_opt.link = MeasureOptions::Link::kSocketpair;
-  sw.Restart();
-  auto pipe = MeasureBatch<F128, ZaatarHarnessBackend<F128>>(
-      app, program, beta, params, seed, pipe_opt);
-  row.socketpair_s = sw.Lap();
-
-  row.transport_retries = loopback.transport_retries + pipe.transport_retries;
-  row.transport_connections =
-      loopback.transport_connections + pipe.transport_connections;
-  row.deadline_exceeded =
-      loopback.metrics->CounterValue("transport.deadline_exceeded") +
-      pipe.metrics->CounterValue("transport.deadline_exceeded");
 
   for (const auto& r : reference) {
     if (!r.accepted()) {
@@ -264,8 +248,7 @@ bool BenchConfig(size_t lcs_size, size_t beta, uint64_t seed,
       return false;
     }
   }
-  if (!VerdictsMatch(reference, loopback.instance_results, "loopback") ||
-      !VerdictsMatch(reference, pipe.instance_results, "socketpair")) {
+  if (!VerdictsMatch(reference, pipe.instance_results, "socketpair")) {
     return false;
   }
   rows->push_back(row);
@@ -273,14 +256,13 @@ bool BenchConfig(size_t lcs_size, size_t beta, uint64_t seed,
 }
 
 void PrintRows(const std::vector<Row>& rows) {
-  printf("%-10s %4s %9s %12s %12s %12s %8s %8s %10s %10s\n", "app", "beta",
-         "proof_len", "inproc_ms", "loopback_ms", "sockpair_ms", "lb_ovh",
-         "sp_ovh", "setup_B", "proof_B");
+  printf("%-10s %4s %9s %12s %12s %8s %10s %10s\n", "app", "beta",
+         "proof_len", "inproc_ms", "sockpair_ms", "sp_ovh", "setup_B",
+         "proof_B");
   for (const Row& r : rows) {
-    printf("%-10s %4zu %9zu %12.2f %12.2f %12.2f %7.1f%% %7.1f%% %10zu %10zu\n",
+    printf("%-10s %4zu %9zu %12.2f %12.2f %7.1f%% %10zu %10zu\n",
            r.app.c_str(), r.beta, r.proof_len, r.in_process_s * 1e3,
-           r.loopback_s * 1e3, r.socketpair_s * 1e3,
-           r.LoopbackOverhead() * 100.0, r.SocketpairOverhead() * 100.0,
+           r.socketpair_s * 1e3, r.SocketpairOverhead() * 100.0,
            r.setup_bytes, r.proof_bytes);
   }
 }
@@ -304,16 +286,15 @@ bool WriteJson(const std::string& path, const std::vector<Row>& rows,
     const Row& r = rows[i];
     fprintf(f,
             "    {\"app\": \"%s\", \"beta\": %zu, \"proof_len\": %zu, "
-            "\"in_process_s\": %.9f, \"loopback_s\": %.9f, "
-            "\"socketpair_s\": %.9f, \"loopback_overhead\": %.4f, "
+            "\"in_process_s\": %.9f, \"socketpair_s\": %.9f, "
             "\"socketpair_overhead\": %.4f, \"setup_bytes\": %zu, "
             "\"proof_bytes\": %zu, \"query_gen_s\": %.9f, "
             "\"solve_s\": %.9f, \"construct_s\": %.9f, \"commit_s\": %.9f, "
             "\"answer_s\": %.9f, \"verify_s\": %.9f, "
             "\"transport_retries\": %zu, \"transport_connections\": %zu, "
             "\"deadline_exceeded\": %llu}%s\n",
-            r.app.c_str(), r.beta, r.proof_len, r.in_process_s, r.loopback_s,
-            r.socketpair_s, r.LoopbackOverhead(), r.SocketpairOverhead(),
+            r.app.c_str(), r.beta, r.proof_len, r.in_process_s,
+            r.socketpair_s, r.SocketpairOverhead(),
             r.setup_bytes, r.proof_bytes, r.query_gen_s, r.solve_s,
             r.construct_s, r.commit_s, r.answer_s, r.verify_s,
             r.transport_retries, r.transport_connections,
@@ -361,25 +342,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  MeasureOptions base_opt;
-  base_opt.measure_native = false;
+  MeasureOptions opt;
+  opt.measure_native = false;
   // One prover thread, like the in-process path: the rows measure what the
   // session layer costs, not what the pooled prover saves.
-  base_opt.prover_threads = 1;
-  base_opt.transport.recv_deadline = std::chrono::milliseconds(recv_timeout_ms);
-  base_opt.transport.handshake_deadline =
+  opt.prover_threads = 1;
+  opt.transport.recv_deadline = std::chrono::milliseconds(recv_timeout_ms);
+  opt.transport.handshake_deadline =
       std::chrono::milliseconds(recv_timeout_ms);
-  base_opt.backoff.max_retries = max_retries;
+  opt.backoff.max_retries = max_retries;
 
   std::vector<Row> rows;
   bool ok;
   if (smoke) {
-    ok = BenchConfig(/*lcs_size=*/3, /*beta=*/2, /*seed=*/31, trace, base_opt,
+    ok = BenchConfig(/*lcs_size=*/3, /*beta=*/2, /*seed=*/31, trace, opt,
                      &rows);
   } else {
-    ok = BenchConfig(/*lcs_size=*/4, /*beta=*/4, /*seed=*/31, trace, base_opt,
+    ok = BenchConfig(/*lcs_size=*/4, /*beta=*/4, /*seed=*/31, trace, opt,
                      &rows) &&
-         BenchConfig(/*lcs_size=*/8, /*beta=*/4, /*seed=*/32, trace, base_opt,
+         BenchConfig(/*lcs_size=*/8, /*beta=*/4, /*seed=*/32, trace, opt,
                      &rows);
   }
   CodecRow codec;

@@ -178,10 +178,10 @@ EOF
   echo "bench smoke ok: $njson"
 
   # Same for the session/transport overhead bench: it exits nonzero if the
-  # serialized paths (loopback, socketpair) diverge from the in-process
-  # verdicts, so this doubles as a cheap cross-path equivalence check. The
-  # --trace export is validated as JSON too, and the baseline schema is
-  # checked for the per-phase keys derived from the span tree.
+  # socketpair path's verdicts diverge from the in-process path's, so this
+  # doubles as a cheap cross-path equivalence check. The --trace export is
+  # validated as JSON too, and the baseline schema is checked for the
+  # per-phase keys derived from the span tree.
   echo "==== [bench] protocol smoke ===="
   local pjson="$build_dir/BENCH_protocol_smoke.json"
   local ptrace="$build_dir/TRACE_protocol_smoke.json"
@@ -201,13 +201,12 @@ recovery_keys = ["transport_retries", "transport_connections",
                  "deadline_exceeded"]
 for row in rows:
     for key in phase_keys + recovery_keys + [
-            "in_process_s", "loopback_s", "socketpair_s",
-            "setup_bytes", "proof_bytes"]:
+            "in_process_s", "socketpair_s", "setup_bytes", "proof_bytes"]:
         assert key in row, f"missing key {key} in {row['app']}"
         assert row[key] >= 0, f"negative {key} in {row['app']}"
     # A healthy local channel must not consume the retry budget.
     assert row["transport_retries"] == 0, f"retries on clean run: {row}"
-    assert row["transport_connections"] == 2, \
+    assert row["transport_connections"] == 1, \
         f"expected one connection per run: {row}"
 print("protocol bench schema ok:", ", ".join(phase_keys + recovery_keys))
 # Perf floor: the setup-frame codec's encode + decode round trip on the
@@ -453,8 +452,8 @@ fi
 
 # TSan covers the worker-pool code paths (ParallelFor and the multiexp
 # engine's parallel folds), the two-threaded session exchanges in
-# protocol_test (prover and verifier driving a shared loopback/socketpair
-# from separate threads), and the shared tracer/metrics collectors in
+# protocol_test (prover and verifier driving a shared socketpair from
+# separate threads), and the shared tracer/metrics collectors in
 # obs_test (many threads recording spans and counters concurrently, plus
 # the cross-thread-stitched harness batch), and the pooled prover
 # (ProverSession::ProveBatch under the harness and the serve client). Only
@@ -491,20 +490,19 @@ if [[ -z "$ONLY" || "$ONLY" == "thread" ]]; then
 fi
 
 # Chaos stage: the seeded fault-schedule soak (tests/chaos_test.cc) under
-# both ASan and TSan. ZAATAR_CHAOS_SEEDS is schedules per (transport x
-# backend) combo; 50 x 4 combos = 200 schedules under ASan satisfies the
-# "200+ seeded schedules, every run ends in a typed verdict" gate, and a
-# smaller TSan sweep proves the recovery machinery (reconnects, reaps,
-# bounded queues) is race-free. Fixed base seed — a failure reproduces from
-# the seed printed in the assertion message.
+# both ASan and TSan. ZAATAR_CHAOS_SEEDS is schedules per backend; 100 x 2
+# backends = 200 schedules under ASan satisfies the "200+ seeded schedules,
+# every run ends in a typed verdict" gate, and a smaller TSan sweep (16 x 2)
+# proves the recovery machinery (reconnects, reaps) is race-free. Fixed base
+# seed — a failure reproduces from the seed printed in the assertion message.
 chaos_stage() {
   echo "==== [chaos] soak under ASan (200 schedules) ===="
   cmake -B build-asan -S . -DZAATAR_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS" --target chaos_test
-  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" ZAATAR_CHAOS_SEEDS=50 \
+  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" ZAATAR_CHAOS_SEEDS=100 \
     watchdog ./build-asan/tests/chaos_test
   echo "==== [chaos] soak under TSan ===="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" ZAATAR_CHAOS_SEEDS=8 \
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" ZAATAR_CHAOS_SEEDS=16 \
     watchdog ./build-tsan/tests/chaos_test
 }
 if [[ -z "$ONLY" || "$ONLY" == "thread" ]]; then

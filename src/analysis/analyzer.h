@@ -27,54 +27,37 @@
 namespace zaatar {
 
 struct AnalyzeOptions {
-  bool determinism = true;   // ZL001 / ZL002
-  bool structure = true;     // ZL003..ZL006, ZL010
-  bool qap_shape = true;     // ZL020 (program analysis only)
-  bool qap_tau_probe = true;
   bool equivalence = false;  // ZL021..ZL023 (source analysis only)
-  EquivOptions equiv;
 };
 
+// Structure (ZL003..ZL006, ZL010) and determinism (ZL001 / ZL002) rules.
 template <typename F>
-AnalysisReport AnalyzeSystem(const GingerSystem<F>& g,
-                             const AnalyzeOptions& options = {}) {
+AnalysisReport AnalyzeSystem(const GingerSystem<F>& g) {
   AnalysisReport report;
-  if (options.structure) {
-    CheckStructure(g, &report);
-  }
-  if (options.determinism) {
-    DeterminismAnalysis<F> det(LowerToIr(g), g.layout,
-                               AnalysisLayer::kGinger);
-    det.Run(&report);
-  }
+  CheckStructure(g, &report);
+  DeterminismAnalysis<F> det(LowerToIr(g), g.layout, AnalysisLayer::kGinger);
+  det.Run(&report);
   return report;
 }
 
 template <typename F>
-AnalysisReport AnalyzeR1cs(const R1cs<F>& r,
-                           const AnalyzeOptions& options = {}) {
+AnalysisReport AnalyzeR1cs(const R1cs<F>& r) {
   AnalysisReport report;
-  if (options.structure) {
-    CheckStructure(r, &report);
-  }
-  if (options.determinism) {
-    DeterminismAnalysis<F> det(LowerToIr(r), r.layout, AnalysisLayer::kR1cs);
-    det.Run(&report);
-  }
+  CheckStructure(r, &report);
+  DeterminismAnalysis<F> det(LowerToIr(r), r.layout, AnalysisLayer::kR1cs);
+  det.Run(&report);
   return report;
 }
 
-// Analyzes every layer of a compiled program.
+// Analyzes every layer of a compiled program, the QAP's shape (ZL020)
+// included.
 template <typename F>
-AnalysisReport AnalyzeProgram(const CompiledProgram<F>& program,
-                              const AnalyzeOptions& options = {}) {
-  AnalysisReport report = AnalyzeSystem(program.ginger, options);
+AnalysisReport AnalyzeProgram(const CompiledProgram<F>& program) {
+  AnalysisReport report = AnalyzeSystem(program.ginger);
   CheckTransform(program.ginger, program.zaatar, &report);
-  report.Merge(AnalyzeR1cs(program.zaatar.r1cs, options));
-  if (options.qap_shape) {
-    Qap<F> qap(program.zaatar.r1cs);
-    CheckQapShape(qap, &report, options.qap_tau_probe);
-  }
+  report.Merge(AnalyzeR1cs(program.zaatar.r1cs));
+  Qap<F> qap(program.zaatar.r1cs);
+  CheckQapShape(qap, &report);
   return report;
 }
 
@@ -88,9 +71,9 @@ AnalysisReport AnalyzeSource(const std::string& source,
                              const AnalyzeOptions& options = {},
                              EquivResult* equiv_out = nullptr) {
   CompiledProgram<F> program = CompileZlang<F>(source);
-  AnalysisReport report = AnalyzeProgram(program, options);
+  AnalysisReport report = AnalyzeProgram(program);
   if (options.equivalence) {
-    EquivResult r = ProveEquivalence<F>(source, options.equiv);
+    EquivResult r = ProveEquivalence<F>(source);
     EmitEquivFindings(r, &report);
     if (equiv_out != nullptr) {
       *equiv_out = std::move(r);

@@ -97,12 +97,8 @@ void CheckTransform(const GingerSystem<F>& g, const ZaatarTransform<F>& t,
 }
 
 // QAP shape invariants, checked against the constraint system the QAP wraps.
-// `tau_probe` controls whether EvaluateAtTau is exercised (it materializes
-// O(|variables|) rows; cheap, but callers analyzing many programs may skip
-// it).
 template <typename F>
-void CheckQapShape(const Qap<F>& qap, AnalysisReport* report,
-                   bool tau_probe = true) {
+void CheckQapShape(const Qap<F>& qap, AnalysisReport* report) {
   AnalysisLocation loc;
   loc.layer = AnalysisLayer::kQap;
   const R1cs<F>& cs = qap.constraint_system();
@@ -136,7 +132,7 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report,
     }
   }
 
-  if (tau_probe && m > 0) {
+  if (m > 0) {
     // Any point outside {0..m} is a valid probe; m+1 is deterministic.
     const F tau = F::FromUint(m + 1);
     auto ev_or = qap.EvaluateAtTau(tau);
@@ -171,7 +167,7 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report,
   // coefficient-form D(t), but ComputeH never touches it — the quotient
   // comes from the cached Newton inverse of rev(D) in CRT evaluation form.
   // Re-derive that cache's defining identity instead of trusting it.
-  if (tau_probe && m > 0 && d.Degree() == static_cast<long>(m)) {
+  if (m > 0 && d.Degree() == static_cast<long>(m)) {
     const auto& ctx = qap.Prover();
     // rev_m(D) · inv ≡ 1 (mod x^{m+1}): multiply through the very NTT
     // images ComputeH uses for the quotient, then fold and compare.

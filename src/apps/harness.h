@@ -6,12 +6,11 @@
 // the calling thread, the prover session on a dedicated thread (proving the
 // instances on a pool of its own, see MeasureOptions::prover_threads), and
 // the only thing that crosses between them is serialized protocol messages
-// over a Transport (in-memory loopback by default, a socketpair with
-// MeasureOptions::link). Every benchmark and test therefore exercises the
-// same byte-level boundary a networked deployment would. The Prg consumption
-// order is queries -> keys -> commitment setup -> instances, and proving and
-// verifying draw nothing, so a reference that calls the layers directly in
-// that order reaches the same verdicts at equal seeds.
+// over a PipeTransport socketpair. Every benchmark and test therefore
+// exercises the same byte-level boundary a networked deployment would. The
+// Prg consumption order is queries -> keys -> commitment setup -> instances,
+// and proving and verifying draw nothing, so a reference that calls the
+// layers directly in that order reaches the same verdicts at equal seeds.
 
 #ifndef SRC_APPS_HARNESS_H_
 #define SRC_APPS_HARNESS_H_
@@ -203,17 +202,20 @@ struct GingerHarnessBackend {
   }
 };
 
-// Knobs for the two-party exchange inside MeasureBatch. The defaults are the
-// historical behavior: in-memory loopback, infinite deadlines, and a small
-// retry budget that never fires on a healthy channel.
+// Knobs for the two-party exchange inside MeasureBatch, which connects the
+// two sessions with a PipeTransport socketpair every time it (re)connects.
+// The defaults are infinite deadlines and a small retry budget that never
+// fires on a healthy channel.
 struct MeasureOptions {
   bool measure_native = true;
 
-  // Which kind of channel the harness builds when it (re)connects.
-  enum class Link { kLoopback, kSocketpair };
-  Link link = Link::kLoopback;
+  // Unused: the socketpair is the only link. vcbench/vcbench.cc still
+  // assigns it, and the benchmark's sources change only with the benchmark,
+  // so it goes once that line does (ROADMAP item 5).
+  enum class Link { kSocketpair };
+  Link link = Link::kSocketpair;
 
-  // Deadlines and queue bounds for every connection the harness makes.
+  // Deadlines for every connection the harness makes.
   protocol::TransportOptions transport;
 
   // Reconnect-and-replay policy for the verifier (see src/protocol/retry.h).
@@ -407,19 +409,15 @@ BatchMeasurement MeasureBatch(const App<F>& app,
     };
 
     // The transport factory: called by RetryingSession on first connect and
-    // after every teardown. It builds (or re-wraps) a channel, hands the
-    // right end to a fresh prover thread resuming at `resume`, and returns
-    // the left end to the verifier.
+    // after every teardown. It builds a socketpair (wrapped by
+    // opt.wrap_transport, if set), hands the right end to a fresh prover
+    // thread resuming at `resume`, and returns the left end to the verifier.
     uint32_t connection_ordinal = 0;
     protocol::TransportFactory factory = [&](uint32_t resume)
         -> StatusOr<std::unique_ptr<protocol::Transport>> {
-      protocol::TransportPair pair;
-      if (opt.link == MeasureOptions::Link::kSocketpair) {
-        ZAATAR_ASSIGN_OR_RETURN(
-            pair, protocol::PipeTransport::CreatePair(opt.transport));
-      } else {
-        pair = protocol::MakeLoopbackPair(opt.transport);
-      }
+      ZAATAR_ASSIGN_OR_RETURN(
+          protocol::TransportPair pair,
+          protocol::PipeTransport::CreatePair(opt.transport));
       const uint32_t ordinal = connection_ordinal++;
       if (opt.wrap_transport) {
         pair.left = opt.wrap_transport(std::move(pair.left),
@@ -488,8 +486,15 @@ BatchMeasurement MeasureBatch(const App<F>& app,
       }
       throw;
     }
+    // A finished batch closes only the verifier's end of the socket. The
+    // prover reads the last verdict still buffered there, then EOF, and
+    // exits by itself; reap() would close the prover's end too, and a
+    // closed PipeTransport drops what it has not read yet.
     rsession.Disconnect();
-    reap();
+    if (prover_thread.joinable()) {
+      prover_thread.join();
+    }
+    prover_link.reset();
     if (!prover_error.empty()) {
       throw std::runtime_error(prover_error);
     }

@@ -1,23 +1,20 @@
 // Message transports for the two-party protocol. A Transport moves opaque
 // frames (serialized messages) between the prover and verifier sessions;
-// the sessions never see anything but bytes, so swapping the in-memory
-// loopback for a real socket changes no protocol code.
+// the sessions never see anything but bytes, so a decorator (chaos faults,
+// timing, recording) can wrap the channel without touching protocol code.
 //
-// Two implementations:
-//   - LoopbackTransport: a pair of mutex/condvar frame queues. Thread-safe,
-//     so a prover thread and a verifier thread can drive a real two-party
-//     exchange in one process (the TSan CI stage does exactly that).
-//   - PipeTransport: length-prefixed frames over a socketpair(2). The frame
-//     length is read as an untrusted u32 and validated against a hard cap
-//     before any allocation, and the body is read in bounded chunks — the
-//     same hostile-length discipline as ByteReader::GetLength.
+// PipeTransport is the one channel: length-prefixed frames over a
+// full-duplex AF_UNIX stream socket, a socketpair(2) in the harness and the
+// dialed connection of zaatar-serve's client. The frame length is read as an
+// untrusted u32 and validated against a hard cap before any allocation, and
+// the body is read in bounded chunks — the same hostile-length discipline as
+// ByteReader::GetLength.
 //
 // Failure model (DESIGN.md §13): the peer is not just untrusted about
 // *content* — it may also stall, flood, or die. Every wait is therefore
-// bounded by TransportOptions deadlines (poll(2) on the pipe, wait_for on
-// the loopback queues), expiring with a typed kDeadlineExceeded; the
-// loopback queues carry depth/byte caps so a runaway sender blocks (with a
-// deadline) instead of exhausting memory; and Receive() on a closed/empty
+// bounded by TransportOptions deadlines (poll(2)), expiring with a typed
+// kDeadlineExceeded; a sender that outruns its peer blocks, within its send
+// deadline, once the kernel socket buffer is full; and Receive() on a closed
 // transport returns a typed kTruncated ("connection closed") — sessions
 // surface both instead of ever hanging a thread.
 
@@ -36,13 +33,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,8 +49,9 @@ namespace zaatar {
 namespace protocol {
 
 // Hard cap on a single frame. The largest honest frame is a SetupMessage
-// (query matrices dominate); 1 GiB leaves orders of magnitude of headroom
-// while bounding what a hostile length prefix can make the receiver buffer.
+// (query matrices dominate): the 246,110,197 B frame of APSP m = 4 at the
+// paper's parameters is 23% of the 1 GiB cap, which bounds what a hostile
+// length prefix can make the receiver buffer.
 inline constexpr uint64_t kMaxFrameBytes = 1ull << 30;
 
 // Frames are read and written in bounded chunks so a large (but in-cap)
@@ -74,7 +69,7 @@ inline constexpr size_t kMaxEagerReserveBytes = 1u << 26;  // 64 MiB
 // Per-endpoint failure-hardening knobs. A zero duration means "wait
 // forever" — the pre-hardening behavior, and the right default for the
 // trusted in-process harness paths; servers and the chaos suite set real
-// deadlines. Queue caps of 0 mean unbounded (loopback only).
+// deadlines.
 struct TransportOptions {
   std::chrono::milliseconds recv_deadline{0};  // per Receive() call
   std::chrono::milliseconds send_deadline{0};  // per Send() call
@@ -82,20 +77,6 @@ struct TransportOptions {
   // (waiting for a peer that may never come up); zero falls back to
   // recv_deadline.
   std::chrono::milliseconds handshake_deadline{0};
-  size_t max_queue_frames = 0;  // loopback: frames buffered per direction
-  size_t max_queue_bytes = 0;   // loopback: payload bytes buffered
-
-  // Production-shaped defaults: generous enough that no honest local
-  // exchange ever trips them, tight enough that a dead peer is detected.
-  static TransportOptions Hardened() {
-    TransportOptions o;
-    o.recv_deadline = std::chrono::milliseconds(30000);
-    o.send_deadline = std::chrono::milliseconds(30000);
-    o.handshake_deadline = std::chrono::milliseconds(30000);
-    o.max_queue_frames = 64;
-    o.max_queue_bytes = kMaxFrameBytes;
-    return o;
-  }
 };
 
 // True for failures of the channel itself — the peer stalled (deadline),
@@ -211,172 +192,6 @@ struct TransportPair {
   std::unique_ptr<Transport> right;
 };
 
-namespace internal {
-
-// One direction of a loopback link: a bounded, deadline-aware frame queue.
-// Push blocks while the queue is at its depth or byte cap (backpressure —
-// a runaway sender stalls instead of growing the queue without bound) and
-// Pop blocks while it is empty; both expire into kDeadlineExceeded.
-class FrameQueue {
- public:
-  FrameQueue() = default;
-  FrameQueue(size_t max_frames, size_t max_bytes)
-      : max_frames_(max_frames), max_bytes_(max_bytes) {}
-
-  Status Push(std::vector<uint8_t> frame,
-              std::chrono::milliseconds deadline = {}) {
-    const size_t frame_bytes = frame.size();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      // An empty queue always admits one frame even past the byte cap, so a
-      // frame larger than the cap degrades to rendezvous, not deadlock.
-      auto has_room = [this, frame_bytes] {
-        if (closed_) {
-          return true;
-        }
-        if (frames_.empty()) {
-          return true;
-        }
-        if (max_frames_ != 0 && frames_.size() >= max_frames_) {
-          return false;
-        }
-        return max_bytes_ == 0 || buffered_bytes_ + frame_bytes <= max_bytes_;
-      };
-      if (deadline.count() > 0) {
-        if (!cv_not_full_.wait_for(lock, deadline, has_room)) {
-          RecordDeadlineExceeded();
-          return DeadlineExceededError("transport send deadline exceeded");
-        }
-      } else {
-        cv_not_full_.wait(lock, has_room);
-      }
-      if (closed_) {
-        return TruncatedError("transport closed");
-      }
-      buffered_bytes_ += frame_bytes;
-      frames_.push_back(std::move(frame));
-      obs::MetricObserve("transport.queue_depth", frames_.size());
-    }
-    cv_not_empty_.notify_one();
-    return Status::Ok();
-  }
-
-  StatusOr<std::vector<uint8_t>> Pop(std::chrono::milliseconds deadline = {}) {
-    std::vector<uint8_t> frame;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      auto ready = [this] { return !frames_.empty() || closed_; };
-      if (deadline.count() > 0) {
-        if (!cv_not_empty_.wait_for(lock, deadline, ready)) {
-          RecordDeadlineExceeded();
-          return DeadlineExceededError("transport recv deadline exceeded");
-        }
-      } else {
-        cv_not_empty_.wait(lock, ready);
-      }
-      if (frames_.empty()) {
-        return TruncatedError("transport closed");
-      }
-      frame = std::move(frames_.front());
-      frames_.pop_front();
-      buffered_bytes_ -= frame.size();
-    }
-    cv_not_full_.notify_one();
-    return frame;
-  }
-
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_not_empty_.notify_all();
-    cv_not_full_.notify_all();
-  }
-
-  size_t depth() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return frames_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_not_empty_;
-  std::condition_variable cv_not_full_;
-  std::deque<std::vector<uint8_t>> frames_;
-  size_t buffered_bytes_ = 0;
-  size_t max_frames_ = 0;  // 0 = unbounded
-  size_t max_bytes_ = 0;   // 0 = unbounded
-  bool closed_ = false;
-};
-
-}  // namespace internal
-
-// In-memory, thread-safe message transport.
-class LoopbackTransport final : public Transport {
- public:
-  LoopbackTransport(std::shared_ptr<internal::FrameQueue> tx,
-                    std::shared_ptr<internal::FrameQueue> rx,
-                    TransportOptions options = {})
-      : tx_(std::move(tx)), rx_(std::move(rx)), options_(options) {}
-
-  ~LoopbackTransport() override { Close(); }
-
-  Status Send(const std::vector<uint8_t>& frame) override {
-    obs::Span span("transport.send");
-    if (frame.size() > kMaxFrameBytes) {
-      return LengthOverflowError("frame exceeds transport cap");
-    }
-    Status s = tx_->Push(frame, options_.send_deadline);
-    if (s.ok()) {
-      internal::RecordFrameSent(frame.size());
-    }
-    return s;
-  }
-
-  StatusOr<std::vector<uint8_t>> Receive() override {
-    // "transport.recv" spans include the blocking wait for the peer, so the
-    // harness's wall-time partition treats them as idle time, not compute.
-    obs::Span span("transport.recv");
-    auto frame = rx_->Pop(RecvDeadline());
-    if (frame.ok()) {
-      received_any_.store(true, std::memory_order_relaxed);
-      internal::RecordFrameReceived(frame->size());
-    }
-    return frame;
-  }
-
-  void Close() override {
-    tx_->Close();
-    rx_->Close();
-  }
-
- private:
-  std::chrono::milliseconds RecvDeadline() const {
-    if (!received_any_.load(std::memory_order_relaxed) &&
-        options_.handshake_deadline.count() > 0) {
-      return options_.handshake_deadline;
-    }
-    return options_.recv_deadline;
-  }
-
-  std::shared_ptr<internal::FrameQueue> tx_;
-  std::shared_ptr<internal::FrameQueue> rx_;
-  TransportOptions options_;
-  std::atomic<bool> received_any_{false};
-};
-
-inline TransportPair MakeLoopbackPair(TransportOptions options = {}) {
-  auto a = std::make_shared<internal::FrameQueue>(options.max_queue_frames,
-                                                  options.max_queue_bytes);
-  auto b = std::make_shared<internal::FrameQueue>(options.max_queue_frames,
-                                                  options.max_queue_bytes);
-  TransportPair pair;
-  pair.left = std::make_unique<LoopbackTransport>(a, b, options);
-  pair.right = std::make_unique<LoopbackTransport>(b, a, options);
-  return pair;
-}
-
 // Length-prefixed frames over a full-duplex file descriptor (socketpair).
 // This is the shape a networked deployment would use; the harness drives it
 // from two threads to exercise real kernel buffering and partial reads.
@@ -430,6 +245,8 @@ class PipeTransport final : public Transport {
   }
 
   StatusOr<std::vector<uint8_t>> Receive() override {
+    // "transport.recv" spans include the blocking wait for the peer, so the
+    // harness's wall-time partition treats them as idle time, not compute.
     obs::Span span("transport.recv");
     internal::CallDeadline deadline(
         internal::OptionBudget(RecvDeadlineBudget()));
@@ -473,10 +290,13 @@ class PipeTransport final : public Transport {
   }
 
   // Creates a connected socketpair; left and right are the two endpoints.
+  // A pair that cannot be made (say, no descriptors left) is a channel
+  // failure, kTruncated, so a TransportFactory that calls this hands the
+  // retry loop a failure it backs off from and counts (retry.h).
   static StatusOr<TransportPair> CreatePair(TransportOptions options = {}) {
     int fds[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-      return MalformedError(std::string("socketpair failed: ") +
+      return TruncatedError(std::string("socketpair failed: ") +
                             std::strerror(errno));
     }
     TransportPair pair;

@@ -1,7 +1,7 @@
 // Readiness multiplexing for the serve daemon's I/O thread: a small Poller
 // interface with an epoll(7) implementation on Linux and a portable poll(2)
-// fallback. Both are runtime-selectable (MakePoller) so the tests exercise
-// the fallback path on every platform, not just where epoll is missing.
+// fallback where epoll is missing. MakePoller picks the platform's poller;
+// the tests drive PollPoller directly, so it is covered on every platform.
 //
 // The interface is level-triggered everywhere — EpollPoller deliberately
 // does not use EPOLLET — because the server's backpressure scheme depends on
@@ -225,17 +225,13 @@ class EpollPoller final : public Poller {
 
 #endif  // __linux__
 
-// epoll where available (unless the caller opts out), poll everywhere else.
-inline std::unique_ptr<Poller> MakePoller(bool prefer_epoll = true) {
+// epoll on Linux; poll(2) where epoll is missing or cannot be created.
+inline std::unique_ptr<Poller> MakePoller() {
 #ifdef __linux__
-  if (prefer_epoll) {
-    auto created = EpollPoller::Create();
-    if (created.ok()) {
-      return std::move(created).value();
-    }
+  auto created = EpollPoller::Create();
+  if (created.ok()) {
+    return std::move(created).value();
   }
-#else
-  (void)prefer_epoll;
 #endif
   return std::make_unique<PollPoller>();
 }

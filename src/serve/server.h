@@ -74,7 +74,6 @@ struct ServerOptions {
   std::chrono::milliseconds handshake_deadline{30000};
   std::chrono::milliseconds idle_deadline{120000};
 
-  bool prefer_epoll = true;
   AmortizationCache::Options cache;
 };
 
@@ -114,7 +113,7 @@ class Server {
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
       }
     }
-    poller_ = MakePoller(options_.prefer_epoll);
+    poller_ = MakePoller();
     ZAATAR_RETURN_IF_ERROR(poller_->Add(listener_->fd(), kListenerTag,
                                         /*want_read=*/true,
                                         /*want_write=*/false));

@@ -149,18 +149,6 @@ TEST(HarnessTest, SessionOutcomesMatchInProcessReference) {
   }
 }
 
-// The same batch driven over a real socketpair instead of the loopback.
-TEST(HarnessTest, ZaatarBatchOverSocketpairAccepts) {
-  auto app = MakeLcsApp(3);
-  auto program = CompileZlang<F128>(app.source);
-  MeasureOptions opt = Sequential();
-  opt.link = MeasureOptions::Link::kSocketpair;
-  auto m = MeasureBatch<F128, ZaatarHarnessBackend<F128>>(
-      app, program, /*beta=*/2, PcpParams::Light(), /*seed=*/17, opt);
-  EXPECT_TRUE(m.all_accepted);
-  EXPECT_EQ(m.verdict_counts[static_cast<size_t>(VerifyVerdict::kAccept)], 2u);
-}
-
 // Every frame either endpoint sends, in the order the Send calls happen.
 // The protocol is strict ping-pong (each side sends only after receiving
 // the other's previous frame), so this order is deterministic.
@@ -205,7 +193,6 @@ std::unique_ptr<RecordedBatch> RunRecorded(const App<F>& app, size_t beta,
   auto program = CompileZlang<F>(app.source);
   MeasureOptions opt;
   opt.measure_native = false;
-  opt.link = MeasureOptions::Link::kSocketpair;
   opt.prover_threads = prover_threads;
   WireLog* log = &out->wire;
   opt.wrap_transport = [log](std::unique_ptr<protocol::Transport> inner,

@@ -1,9 +1,9 @@
 // The message-driven session layer: round trips and corruption sweeps for
 // the three protocol messages, runtime phase enforcement in both state
-// machines, full prover/verifier exchanges over the loopback and socketpair
-// transports (including a two-threaded batch, which is the TSan CI target
-// for this layer), and ProveBatch's pooled proving: byte-identical frames
-// in the sequential order for every thread count.
+// machines, full prover/verifier exchanges over a socketpair (including a
+// two-threaded batch, which is the TSan CI target for this layer), and
+// ProveBatch's pooled proving: byte-identical frames in the sequential
+// order for every thread count.
 
 #include "src/protocol/session.h"
 
@@ -589,26 +589,6 @@ TEST(ProtocolSessionTest, HostileProofBytesAreIsolatedPerInstance) {
 
 // ----- transports -----
 
-TEST(ProtocolTransportTest, LoopbackPreservesFramesAndSignalsClose) {
-  auto pair = protocol::MakeLoopbackPair();
-  std::vector<uint8_t> frame = {1, 2, 3, 4, 5};
-  ASSERT_TRUE(pair.left->Send(frame).ok());
-  ASSERT_TRUE(pair.left->Send({}).ok());  // empty frames are legal
-  auto got = pair.right->Receive();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, frame);
-  auto empty = pair.right->Receive();
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-
-  pair.left->Close();
-  auto closed = pair.right->Receive();
-  ASSERT_FALSE(closed.ok());
-  EXPECT_EQ(closed.status().code(), StatusCode::kTruncated);
-  auto send_after = pair.right->Send(frame);
-  ASSERT_FALSE(send_after.ok());
-}
-
 TEST(ProtocolTransportTest, PipePreservesFramesAcrossThreads) {
   auto pair_or = protocol::PipeTransport::CreatePair();
   ASSERT_TRUE(pair_or.ok()) << pair_or.status().ToString();
@@ -623,6 +603,7 @@ TEST(ProtocolTransportTest, PipePreservesFramesAcrossThreads) {
   std::thread sender([&] {
     ASSERT_TRUE(pair.left->Send(big).ok());
     ASSERT_TRUE(pair.left->Send({9, 9, 9}).ok());
+    ASSERT_TRUE(pair.left->Send({}).ok());  // empty frames are legal
     pair.left->Close();
   });
   auto got = pair.right->Receive();
@@ -631,9 +612,16 @@ TEST(ProtocolTransportTest, PipePreservesFramesAcrossThreads) {
   auto small = pair.right->Receive();
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(*small, (std::vector<uint8_t>{9, 9, 9}));
+  auto empty = pair.right->Receive();
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->empty());
   auto eof = pair.right->Receive();
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kTruncated);
+  // The peer has closed, so a send fails as a channel failure.
+  Status send_after = pair.right->Send({9, 9, 9});
+  EXPECT_TRUE(protocol::IsTransportFailure(send_after))
+      << send_after.ToString();
   sender.join();
 }
 
@@ -706,11 +694,6 @@ void RunTwoThreadedBatch(SessionFixture& f, protocol::TransportPair pair,
   EXPECT_GT(f.verifier.proof_bytes_received(), 0u);
 }
 
-TEST(ProtocolSessionTest, TwoThreadedBatchOverLoopback) {
-  SessionFixture f(508);
-  RunTwoThreadedBatch(f, protocol::MakeLoopbackPair(), 3);
-}
-
 TEST(ProtocolSessionTest, TwoThreadedBatchOverSocketpair) {
   SessionFixture f(509);
   auto pair = protocol::PipeTransport::CreatePair();
@@ -722,7 +705,9 @@ TEST(ProtocolSessionTest, TwoThreadedBatchOverSocketpair) {
 // typed reject delivered as a VerdictMessage, honest neighbors accept.
 TEST(ProtocolSessionTest, CheatingInstanceGetsTypedVerdictOverTransport) {
   SessionFixture f(510);
-  auto pair = protocol::MakeLoopbackPair();
+  auto pair_or = protocol::PipeTransport::CreatePair();
+  ASSERT_TRUE(pair_or.ok()) << pair_or.status().ToString();
+  auto pair = std::move(*pair_or);
 
   std::vector<VerifyInstanceResult> prover_seen;
   std::thread prover_thread([&] {
@@ -931,14 +916,15 @@ TEST(ProtocolPoolTest, ProveBatchNeedsTheSetupAndResumes) {
   auto build = [&](uint32_t) {
     return ProverSession<F>::OwnedVectors{f.proof.z, f.proof.h};
   };
-  auto loopback = protocol::MakeLoopbackPair();
-  EXPECT_EQ(p.ProveBatch(*loopback.right, 3, 4, build).code(),
+  auto pair = protocol::PipeTransport::CreatePair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  EXPECT_EQ(p.ProveBatch(*pair->right, 3, 4, build).code(),
             StatusCode::kPhaseViolation);
 
   // A resumed session starts at its resume index; an empty range is a no-op.
   ASSERT_TRUE(p.IngestSetup(*f.verifier.EmitSetup()).ok());
   ASSERT_TRUE(p.StartAtInstance(3).ok());
-  EXPECT_TRUE(p.ProveBatch(*loopback.right, 3, 4, build).ok());
+  EXPECT_TRUE(p.ProveBatch(*pair->right, 3, 4, build).ok());
   std::vector<uint32_t> indices;
   Status st = p.ProveBatch(
       5, 4, build,

@@ -151,7 +151,7 @@ TEST(PollerTest, PollPollerReadiness) {
 }
 
 TEST(PollerTest, DefaultPollerReadiness) {
-  auto poller = serve::MakePoller(/*prefer_epoll=*/true);
+  auto poller = serve::MakePoller();
   ASSERT_NE(poller, nullptr);
   ExercisePoller(poller.get());
 }
@@ -448,7 +448,6 @@ TEST(ServeDaemonTest, SaturationShedsTypedAndConnectionSurvives) {
   opt.socket_path = TestSocketPath();
   opt.workers = 1;
   opt.max_queue = 1;
-  opt.prefer_epoll = false;  // exercise the poll(2) fallback path too
   serve::Server server(opt, StubBuilder(/*prove_delay=*/Millis(300)));
   ASSERT_TRUE(server.Start().ok());
 
@@ -480,7 +479,9 @@ TEST(ServeDaemonTest, SaturationShedsTypedAndConnectionSurvives) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(*retried, std::vector<uint8_t>({3}));
   const std::string stats = server.StatsJson();
-  EXPECT_NE(stats.find("\"poller\": \"poll\""), std::string::npos);
+  const std::string poller = serve::MakePoller()->name();
+  EXPECT_NE(stats.find("\"poller\": \"" + poller + "\""), std::string::npos)
+      << stats;
   server.Stop();
 }
 

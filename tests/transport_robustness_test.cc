@@ -1,12 +1,13 @@
 // Failure-hardening of the transport and session layers (DESIGN.md §13):
-// the deadline matrix ({Send, Receive} x {LoopbackTransport, PipeTransport}
-// x {expired, not-expired, peer-dies-mid-frame}) with exact Status codes,
-// the prefix-then-silence regression, concurrent Close() vs a blocked
-// Receive() on another thread (the TSan target for the fd-ownership
-// discipline), bounded-queue backpressure, the backoff schedule, and the
-// RetryingSession retryable-vs-final classification.
+// the deadline matrix ({Send, Receive} x {expired, not-expired,
+// peer-dies-mid-frame} on PipeTransport) with exact Status codes, the
+// prefix-then-silence regression, concurrent Close() vs a blocked Receive()
+// on another thread (the TSan target for the fd-ownership discipline), the
+// backoff schedule, and the RetryingSession retryable-vs-final
+// classification.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -59,35 +60,6 @@ TransportOptions SendDeadline(int ms) {
 
 // ----- deadline matrix: Receive -----
 
-TEST(DeadlineMatrixTest, LoopbackReceiveExpires) {
-  auto pair = protocol::MakeLoopbackPair(RecvDeadline(60));
-  auto start = std::chrono::steady_clock::now();
-  auto got = pair.left->Receive();
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(ElapsedSince(start).count(), 5000);
-}
-
-TEST(DeadlineMatrixTest, LoopbackReceiveWithinDeadline) {
-  auto pair = protocol::MakeLoopbackPair(RecvDeadline(2000));
-  ASSERT_TRUE(pair.right->Send({1, 2, 3}).ok());
-  auto got = pair.left->Receive();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, (std::vector<uint8_t>{1, 2, 3}));
-}
-
-TEST(DeadlineMatrixTest, LoopbackReceivePeerDies) {
-  auto pair = protocol::MakeLoopbackPair(RecvDeadline(5000));
-  std::thread killer([&] {
-    std::this_thread::sleep_for(Millis(20));
-    pair.right->Close();
-  });
-  auto got = pair.left->Receive();
-  killer.join();
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kTruncated);
-}
-
 TEST(DeadlineMatrixTest, PipeReceiveExpires) {
   auto pair = PipeTransport::CreatePair(RecvDeadline(60));
   ASSERT_TRUE(pair.ok());
@@ -124,53 +96,6 @@ TEST(DeadlineMatrixTest, PipeReceivePeerDiesMidFrame) {
 }
 
 // ----- deadline matrix: Send -----
-
-TEST(DeadlineMatrixTest, LoopbackSendExpires) {
-  // Depth cap 1 with no consumer: the first frame is admitted, the second
-  // blocks on backpressure until the send deadline fires.
-  TransportOptions o = SendDeadline(60);
-  o.max_queue_frames = 1;
-  auto pair = protocol::MakeLoopbackPair(o);
-  ASSERT_TRUE(pair.left->Send({1}).ok());
-  auto start = std::chrono::steady_clock::now();
-  Status second = pair.left->Send({2});
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(ElapsedSince(start).count(), 5000);
-}
-
-TEST(DeadlineMatrixTest, LoopbackSendWithinDeadline) {
-  TransportOptions o = SendDeadline(5000);
-  o.max_queue_frames = 1;
-  auto pair = protocol::MakeLoopbackPair(o);
-  std::thread consumer([&] {
-    for (int i = 0; i < 3; i++) {
-      std::this_thread::sleep_for(Millis(10));
-      ASSERT_TRUE(pair.right->Receive().ok());
-    }
-  });
-  for (uint8_t i = 0; i < 3; i++) {
-    ASSERT_TRUE(pair.left->Send({i}).ok());
-  }
-  consumer.join();
-}
-
-TEST(DeadlineMatrixTest, LoopbackSendPeerDiesMidBlock) {
-  // A sender blocked on a full queue is woken by a concurrent Close and gets
-  // kTruncated, not a hang and not a deadline.
-  TransportOptions o = SendDeadline(5000);
-  o.max_queue_frames = 1;
-  auto pair = protocol::MakeLoopbackPair(o);
-  ASSERT_TRUE(pair.left->Send({1}).ok());
-  std::thread killer([&] {
-    std::this_thread::sleep_for(Millis(20));
-    pair.right->Close();
-  });
-  Status second = pair.left->Send({2});
-  killer.join();
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kTruncated);
-}
 
 TEST(DeadlineMatrixTest, PipeSendExpires) {
   // A frame much larger than the kernel socket buffer with no reader: the
@@ -284,54 +209,6 @@ TEST(TransportHardeningTest, CloseFromAnotherThreadUnblocksReceive) {
     EXPECT_FALSE(observed.ok());
     EXPECT_EQ(observed.code(), StatusCode::kTruncated) << observed.ToString();
   }
-}
-
-TEST(TransportHardeningTest, CloseFromAnotherThreadUnblocksLoopback) {
-  auto pair = protocol::MakeLoopbackPair();
-  Status observed = Status::Ok();
-  std::thread receiver([&] { observed = pair.left->Receive().status(); });
-  std::this_thread::sleep_for(Millis(10));
-  pair.left->Close();
-  receiver.join();
-  EXPECT_EQ(observed.code(), StatusCode::kTruncated);
-}
-
-// ----- bounded-queue backpressure -----
-
-TEST(TransportHardeningTest, BoundedQueueDeliversEverythingInOrder) {
-  TransportOptions o;
-  o.max_queue_frames = 2;
-  o.max_queue_bytes = 64;
-  o.send_deadline = Millis(5000);
-  o.recv_deadline = Millis(5000);
-  auto pair = protocol::MakeLoopbackPair(o);
-  const int kFrames = 32;
-  std::thread producer([&] {
-    for (int i = 0; i < kFrames; i++) {
-      std::vector<uint8_t> frame(17, static_cast<uint8_t>(i));
-      ASSERT_TRUE(pair.left->Send(frame).ok());
-    }
-  });
-  for (int i = 0; i < kFrames; i++) {
-    auto got = pair.right->Receive();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ((*got)[0], static_cast<uint8_t>(i));
-  }
-  producer.join();
-}
-
-TEST(TransportHardeningTest, OversizeFrameDegradesToRendezvous) {
-  // A frame larger than the byte cap is admitted when the queue is empty:
-  // the cap degrades to rendezvous, never deadlock.
-  TransportOptions o;
-  o.max_queue_frames = 4;
-  o.max_queue_bytes = 8;
-  auto pair = protocol::MakeLoopbackPair(o);
-  std::vector<uint8_t> oversize(64, 0xEE);
-  ASSERT_TRUE(pair.left->Send(oversize).ok());
-  auto got = pair.right->Receive();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->size(), 64u);
 }
 
 // ----- backoff schedule -----
@@ -494,7 +371,8 @@ TEST(RetryingSessionTest, ReconnectsAfterDeadPeerAndAccepts) {
   int connections = 0;
   protocol::TransportFactory factory =
       [&](uint32_t resume) -> StatusOr<std::unique_ptr<Transport>> {
-    auto pair = protocol::MakeLoopbackPair(RecvDeadline(2000));
+    ZAATAR_ASSIGN_OR_RETURN(TransportPair pair,
+                            PipeTransport::CreatePair(RecvDeadline(2000)));
     if (connections++ == 0) {
       pair.right->Close();  // connection 0: the peer is already dead
     } else {
@@ -546,6 +424,55 @@ TEST(RetryingSessionTest, ExhaustedBudgetReturnsTransportFailure) {
   EXPECT_EQ(slept.size(), 2u);
 }
 
+// A socketpair(2) that fails is a channel failure: the factory's status
+// costs one retry, and the next connection decides the instance.
+TEST(RetryingSessionTest, SocketpairFailureIsRetried) {
+  // No descriptors can be made while this process's soft RLIMIT_NOFILE is 0.
+  auto create_without_descriptors = [] {
+    struct rlimit saved {};
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    struct rlimit none = saved;
+    none.rlim_cur = 0;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+    auto pair = PipeTransport::CreatePair(RecvDeadline(2000));
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    return pair;
+  };
+  auto failed = create_without_descriptors();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(IsTransportFailure(failed.status()))
+      << failed.status().ToString();
+
+  RetryFixture f(905);
+  std::vector<std::unique_ptr<Transport>> peer_links;
+  std::vector<std::thread> peers;
+  int factory_calls = 0;
+  protocol::TransportFactory factory =
+      [&](uint32_t resume) -> StatusOr<std::unique_ptr<Transport>> {
+    ZAATAR_ASSIGN_OR_RETURN(
+        TransportPair pair,
+        factory_calls++ == 0 ? create_without_descriptors()
+                             : PipeTransport::CreatePair(RecvDeadline(2000)));
+    peer_links.push_back(std::move(pair.right));
+    peers.emplace_back(RunHonestProver, peer_links.back().get(), std::cref(f),
+                       resume);
+    return std::move(pair.left);
+  };
+  BackoffPolicy policy;
+  policy.max_retries = 3;
+  policy.jitter_seed = 5;
+  protocol::RetryingSession<F, Adapter> session(
+      std::move(f.verifier), factory, policy, [](Millis) {});
+
+  auto result = session.DecideNext(f.rs.BoundValues());
+  for (auto& t : peers) t.join();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->accepted()) << result->detail;
+  EXPECT_EQ(factory_calls, 2);
+  EXPECT_EQ(session.total_retries(), 1u);
+  EXPECT_EQ(session.connections(), 1u);
+}
+
 TEST(RetryingSessionTest, ProtocolRejectIsFinalNeverRetried) {
   // A garbled proof frame is a protocol outcome (kMalformed verdict), not a
   // transport failure: it must be decided exactly once, with zero retries —
@@ -557,7 +484,8 @@ TEST(RetryingSessionTest, ProtocolRejectIsFinalNeverRetried) {
   protocol::TransportFactory factory =
       [&](uint32_t) -> StatusOr<std::unique_ptr<Transport>> {
     connections++;
-    auto pair = protocol::MakeLoopbackPair(RecvDeadline(2000));
+    ZAATAR_ASSIGN_OR_RETURN(TransportPair pair,
+                            PipeTransport::CreatePair(RecvDeadline(2000)));
     peer_links.push_back(std::move(pair.right));
     Transport* link = peer_links.back().get();
     peers.emplace_back([link] {
@@ -645,7 +573,8 @@ TEST(RetryingSessionTest, RecordedButUnsentVerdictStandsAndCursorAdvances) {
   protocol::TransportFactory factory =
       [&](uint32_t resume) -> StatusOr<std::unique_ptr<Transport>> {
     resume_points.push_back(resume);
-    auto pair = protocol::MakeLoopbackPair(RecvDeadline(2000));
+    ZAATAR_ASSIGN_OR_RETURN(TransportPair pair,
+                            PipeTransport::CreatePair(RecvDeadline(2000)));
     peer_links.push_back(std::move(pair.right));
     peers.emplace_back(RunHonestProver, peer_links.back().get(), std::cref(f),
                        resume);
