@@ -16,8 +16,10 @@
 // ntt.pipeline.v1) — the residue-pipeline ComputeH decomposed into
 // interpolate / mul / divide at |C| in {256, 1024, 4096} over synthetic
 // R1CS, with the Figure 3 model 3·f·|C|·log2²|C| as the yardstick and the
-// frozen coefficient-form path timed as a baseline at |C| <= 1024. ci.sh
-// validates the schema and gates construct_proof / model <= 6 at |C| = 1024.
+// frozen coefficient-form path timed as a baseline at |C| <= 1024. Both
+// paths run on one thread, and ComputeH and f are each the best of several
+// runs. ci.sh validates the schema and gates construct_proof / model <= 6
+// at |C| = 1024.
 
 #include <cmath>
 #include <cstdio>
@@ -27,6 +29,7 @@
 
 #include "bench/bench_util.h"
 #include "src/obs/trace.h"
+#include "src/util/parallel_for.h"
 
 namespace zaatar {
 namespace {
@@ -156,20 +159,27 @@ SyntheticSystem MakeSynthetic(size_t m, Prg& prg) {
 
 // Per-multiply field cost, measured inline (the only model parameter the
 // construct-proof term uses; no need for the full crypto microbenchmarks).
+// The best of five multiply chains, so a preempted chain does not count.
 double MeasureFieldMulSeconds() {
   Prg prg(0xF00D);
   F x = prg.NextNonzeroField<F>();
   F y = prg.NextNonzeroField<F>();
   const size_t reps = 200000;
-  Stopwatch sw;
-  for (size_t i = 0; i < reps; i++) {
-    x *= y;
+  double best = -1;
+  for (int round = 0; round < 6; round++) {  // round 0 warms up
+    Stopwatch sw;
+    for (size_t i = 0; i < reps; i++) {
+      x *= y;
+    }
+    const double f = sw.ElapsedSeconds() / static_cast<double>(reps);
+    if (round > 0 && (best < 0 || f < best)) {
+      best = f;
+    }
   }
-  double f = sw.ElapsedSeconds() / static_cast<double>(reps);
   if (x.IsZero()) {  // keep the loop alive
     printf("unreachable\n");
   }
-  return f;
+  return best;
 }
 
 struct SizeResult {
@@ -185,25 +195,33 @@ SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
   Qap<F> qap(s.cs);
   qap.WarmProver();  // one-time setup outside the measured region
 
-  obs::Tracer tracer;
+  // Both ComputeH paths run on one thread, as the single-core model they
+  // are divided by assumes. Each instance gets its own tracer, and the
+  // fastest instance's phases are reported together, so a preempted
+  // instance does not count.
+  ScopedParallelismCap one_thread(1);
   F sink = F::Zero();
-  {
-    obs::ScopedThreadTracer scoped(&tracer);
-    for (size_t i = 0; i < beta; i++) {
+  SizeResult r;
+  r.c = m;
+  r.construct_s = -1;
+  for (size_t i = 0; i < beta; i++) {
+    obs::Tracer tracer;
+    {
+      obs::ScopedThreadTracer scoped(&tracer);
       auto hr = qap.ComputeH(s.witness);
       sink += hr.h[m / 2];
       if (!hr.exact) {
         fprintf(stderr, "synthetic witness rejected at |C| = %zu\n", m);
       }
     }
+    const double construct_s = tracer.SumSeconds("qap.compute_h");
+    if (r.construct_s < 0 || construct_s < r.construct_s) {
+      r.construct_s = construct_s;
+      r.interp_s = tracer.SumSeconds("qap.interpolate");
+      r.mul_s = tracer.SumSeconds("qap.mul");
+      r.divide_s = tracer.SumSeconds("qap.divide");
+    }
   }
-  double b = static_cast<double>(beta);
-  SizeResult r;
-  r.c = m;
-  r.construct_s = tracer.SumSeconds("qap.compute_h") / b;
-  r.interp_s = tracer.SumSeconds("qap.interpolate") / b;
-  r.mul_s = tracer.SumSeconds("qap.mul") / b;
-  r.divide_s = tracer.SumSeconds("qap.divide") / b;
   double lg = std::log2(static_cast<double>(m));
   r.model_s = 3.0 * f_seconds * static_cast<double>(m) * lg * lg;
   r.ratio = r.construct_s / r.model_s;
@@ -223,7 +241,7 @@ SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
 }
 
 int JsonMain(const char* out_path) {
-  const size_t kBeta = 4;  // steady-state: caches warm, per-instance cost
+  const size_t kBeta = 4;  // instances per size; the fastest one is reported
   double f_seconds = MeasureFieldMulSeconds();
   std::vector<SizeResult> results;
   for (size_t m : {size_t{256}, size_t{1024}, size_t{4096}}) {

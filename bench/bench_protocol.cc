@@ -52,8 +52,7 @@ struct Row {
   size_t setup_bytes = 0;
   size_t proof_bytes = 0;  // sum over the batch
 
-  // Per-phase breakdown of the socketpair run, derived from its span tree
-  // (all 0.0 under cmake -DZAATAR_TRACE=OFF).
+  // Per-phase breakdown of the socketpair run, derived from its span tree.
   double query_gen_s = 0;
   double solve_s = 0;      // per instance
   double construct_s = 0;  // per instance
@@ -348,8 +347,6 @@ int main(int argc, char** argv) {
   // session layer costs, not what the pooled prover saves.
   opt.prover_threads = 1;
   opt.transport.recv_deadline = std::chrono::milliseconds(recv_timeout_ms);
-  opt.transport.handshake_deadline =
-      std::chrono::milliseconds(recv_timeout_ms);
   opt.backoff.max_retries = max_retries;
 
   std::vector<Row> rows;

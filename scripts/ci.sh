@@ -141,8 +141,10 @@ EOF
   # of the fig5 bench (per-phase ComputeH seconds on synthetic R1CS at
   # |C| in {256, 1024, 4096}) and gate the residue pipeline against the
   # Figure 3 model: construct_proof / (3 f |C| log2^2 |C|) <= 6 at
-  # |C| = 1024. The pre-refactor coefficient-form path sat at 12-20x; a
-  # ratio drifting back above 6 means the pipeline fell off the NTT path.
+  # |C| = 1024. ComputeH runs on one thread, like the model, and both it
+  # and f are best-of timings. The pre-refactor coefficient-form path sat
+  # at 12-20x; a ratio drifting back above 6 means the pipeline fell off
+  # the NTT path.
   echo "==== [bench] ntt pipeline smoke ===="
   local njson="$build_dir/BENCH_ntt_smoke.json"
   "$build_dir/bench/bench_fig5_prover_breakdown" --json --out "$njson"

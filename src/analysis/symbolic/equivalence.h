@@ -85,8 +85,10 @@ struct EquivOptions {
   size_t num_samples = 48;       // differential typed samples
   size_t exhaustive_cap = 4096;  // max total domain size to enumerate
   size_t mismatch_search = 256;  // sampling budget to concretize a mismatch
-  size_t magnitude_bits = 8;     // typed-sample magnitude
 };
+
+// Bit bound on the magnitude of each typed sample (SampleNativeInputs).
+inline constexpr size_t kEquivSampleMagnitudeBits = 8;
 
 struct EquivResult {
   EquivStatus status = EquivStatus::kUnknown;
@@ -357,7 +359,7 @@ EquivResult ProveEquivalence(const std::string& source,
     std::vector<bool> exempt(det.exempt().begin(), det.exempt().end());
     for (size_t attempt = 0; attempt < 8; attempt++) {
       std::vector<int64_t> inputs =
-          SampleNativeInputs(prog.inputs, prg, opt.magnitude_bits);
+          SampleNativeInputs(prog.inputs, prg, kEquivSampleMagnitudeBits);
       std::vector<F> encoded;
       for (int64_t v : inputs) {
         encoded.push_back(EncodeSignedInt<F>(v));
@@ -396,7 +398,7 @@ EquivResult ProveEquivalence(const std::string& source,
   auto find_mismatch_input = [&]() -> std::optional<std::vector<int64_t>> {
     for (size_t i = 0; i < opt.mismatch_search; i++) {
       std::vector<int64_t> inputs =
-          SampleNativeInputs(prog.inputs, prg, opt.magnitude_bits);
+          SampleNativeInputs(prog.inputs, prg, kEquivSampleMagnitudeBits);
       if (si::Probe(prog, &native, inputs).kind ==
           si::ProbeOutcome<F>::Kind::kDiverge) {
         return si::ShrinkCounterexample(prog, &native, std::move(inputs));
@@ -574,7 +576,7 @@ EquivResult ProveEquivalence(const std::string& source,
   size_t agreed = 0;
   for (size_t s = 0; s < opt.num_samples; s++) {
     std::vector<int64_t> inputs =
-        SampleNativeInputs(prog.inputs, prg, opt.magnitude_bits);
+        SampleNativeInputs(prog.inputs, prg, kEquivSampleMagnitudeBits);
     auto probe = si::Probe(prog, &native, inputs);
     if (probe.kind == si::ProbeOutcome<F>::Kind::kDiverge) {
       report_mismatch(si::ShrinkCounterexample(prog, &native, inputs));

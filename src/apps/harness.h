@@ -46,11 +46,9 @@ struct BatchMeasurement {
   ComputationStats stats;          // includes measured t_local
   // The per-phase cost fields below are views over the span tree in `trace`:
   // each is the summed duration of the correspondingly named spans (divided
-  // by beta for the per-instance ones). Under cmake -DZAATAR_TRACE=OFF the
-  // spans compile away and these read 0.0 — only commit_setup_s survives,
-  // since Argument::Setup keeps its own Stopwatch.
+  // by beta for the per-instance ones).
   double query_generation_s = 0;   // "verifier.query_gen" (per batch)
-  double commit_setup_s = 0;       // verifier, amortized over the batch
+  double commit_setup_s = 0;       // "verifier.commit_setup" (per batch)
   ProverCosts prover;              // mean per instance, from prover.* spans
   double verifier_per_instance_s = 0;  // "verifier.verify" / beta
   size_t proof_len = 0;
@@ -282,21 +280,17 @@ BatchMeasurement MeasureBatch(const App<F>& app,
       return typename Backend::Prepared(program);
     }();
 
-    Stopwatch sw;
     typename Backend::Queries queries = [&] {
       obs::Span span("verifier.query_gen");
       return Backend::GenerateQueries(prep, params, prg);
     }();
-    const double query_generation_s = sw.Lap();
     out.total_queries = queries.TotalQueryCount();
     out.proof_len = Backend::ProofLen(queries);
 
     auto verifier = [&] {
       obs::Span span("verifier.commit_setup");
-      return protocol::VerifierSession<F, Adapter>(std::move(queries), prg,
-                                                   query_generation_s);
+      return protocol::VerifierSession<F, Adapter>(std::move(queries), prg);
     }();
-    out.commit_setup_s = verifier.setup().costs.commit_setup_s;
 
     // Instances are drawn before the exchange starts so the Prg consumption
     // order is fixed (proving and verifying never touch the Prg, so the
@@ -514,10 +508,11 @@ BatchMeasurement MeasureBatch(const App<F>& app,
   malloc_trim(0);
 #endif
 
-  // Cost fields are views over the span tree (0.0 under ZAATAR_TRACE=0).
+  // Cost fields are views over the span tree.
   const obs::Tracer& t = *out.trace;
   const double b = static_cast<double>(beta);
   out.query_generation_s = t.SumSeconds("verifier.query_gen");
+  out.commit_setup_s = t.SumSeconds("verifier.commit_setup");
   out.prover.solve_constraints_s = t.SumSeconds("prover.solve") / b;
   out.prover.construct_proof_s = t.SumSeconds("prover.construct_proof") / b;
   out.prover.crypto_s = t.SumSeconds("prover.commit") / b;

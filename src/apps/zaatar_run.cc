@@ -119,8 +119,6 @@ int RunApp(const zaatar::App<F>& app, const Options& opt) {
   mopt.measure_native = opt.measure_native;
   mopt.transport.recv_deadline =
       std::chrono::milliseconds(opt.recv_timeout_ms);
-  mopt.transport.handshake_deadline =
-      std::chrono::milliseconds(opt.recv_timeout_ms);
   mopt.backoff.max_retries = opt.max_retries;
   mopt.backoff.jitter_seed = opt.seed;
 

@@ -34,7 +34,6 @@
 #include "src/protocol/messages.h"
 #include "src/protocol/prover_context.h"
 #include "src/util/status.h"
-#include "src/util/stopwatch.h"
 
 namespace zaatar {
 
@@ -66,7 +65,6 @@ class Argument {
     typename Adapter::Queries queries;
     VerifierSecrets secrets;
     std::array<OracleCommitShared<F>, 2> shared;
-    VerifierSetupCosts costs;
 
     size_t TotalQueryElements() const {
       size_t n = 0;
@@ -108,15 +106,11 @@ class Argument {
   };
 
   // Verifier, once per batch. `queries` should come from the PCP's
-  // GenerateQueries (its cost belongs to query_generation_s and is measured
-  // by the caller; pass it in `query_generation_seconds`). `workers` > 1
-  // chunks the Enc(r) row encryptions across threads.
-  static VerifierSetup Setup(typename Adapter::Queries queries, Prg& prg,
-                             double query_generation_seconds = 0,
-                             size_t workers = 1) {
+  // GenerateQueries. Enc(r) and t are computed on one thread: the cost
+  // model's commit-setup term and Figure 7's break-even divide single-core
+  // terms by them.
+  static VerifierSetup Setup(typename Adapter::Queries queries, Prg& prg) {
     VerifierSetup s;
-    s.costs.query_generation_s = query_generation_seconds;
-    Stopwatch timer;
     typename EG::KeyPair keys = EG::GenerateKeys(prg);
     s.pk = keys.pk;
     s.secrets.sk = keys.sk;
@@ -124,11 +118,10 @@ class Argument {
     for (size_t o = 0; o < 2; o++) {
       OracleCommitSetup<F> commit = LinearCommitment<F>::CreateSetup(
           s.pk, Adapter::OracleLength(s.queries, o),
-          Adapter::OracleQueries(s.queries, o), prg, workers);
+          Adapter::OracleQueries(s.queries, o), prg);
       s.secrets.commit[o] = std::move(commit.secrets);
       s.shared[o] = std::move(commit.shared);
     }
-    s.costs.commit_setup_s = timer.ElapsedSeconds();
     return s;
   }
 

@@ -93,13 +93,6 @@ struct ProverCosts {
   }
 };
 
-struct VerifierSetupCosts {
-  double query_generation_s = 0;  // computation-specific + oblivious queries
-  double commit_setup_s = 0;      // Enc(r) and t vectors
-
-  double Total() const { return query_generation_s + commit_setup_s; }
-};
-
 }  // namespace zaatar
 
 #endif  // SRC_ARGUMENT_VERDICT_H_

@@ -88,16 +88,13 @@ class LinearCommitment {
  public:
   using EG = ElGamal<F>;
 
-  // Phase 1 + 3 setup (verifier, amortized over the batch). `workers` > 1
-  // chunks the row encryption of Enc(r) across threads.
+  // Phase 1 + 3 setup (verifier, amortized over the batch), on one thread.
   static OracleCommitSetup<F> CreateSetup(
       const typename EG::PublicKey& pk, size_t oracle_len,
-      const std::vector<std::vector<F>>& queries, Prg& prg,
-      size_t workers = 1) {
+      const std::vector<std::vector<F>>& queries, Prg& prg) {
     OracleCommitSetup<F> s;
     s.secrets.r = prg.NextFieldVector<F>(oracle_len);
-    s.shared.enc_r =
-        EG::EncryptRow(pk, s.secrets.r.data(), oracle_len, prg, workers);
+    s.shared.enc_r = EG::EncryptRow(pk, s.secrets.r.data(), oracle_len, prg);
     s.secrets.alphas = prg.NextFieldVector<F>(queries.size());
     s.shared.t = ConsistencyVector(s.secrets.r, queries, s.secrets.alphas);
     return s;

@@ -2,8 +2,7 @@
 // span tree of src/obs/trace.h. The registry is ambient like the tracer:
 // a thread installs a Metrics instance (ScopedThreadMetrics) and deep
 // pipeline code records through the free functions MetricAdd/MetricObserve
-// without signature changes — both are no-ops when nothing is installed,
-// and compile out entirely under ZAATAR_TRACE=0.
+// without signature changes — both are no-ops when nothing is installed.
 //
 // Histograms use power-of-two buckets: Observe(v) increments bucket
 // ceil(log2(v+1)), i.e. bucket k counts values in [2^(k-1), 2^k). That is
@@ -19,8 +18,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-
-#include "src/obs/trace.h"  // the ZAATAR_TRACE gate
 
 namespace zaatar {
 namespace obs {
@@ -87,8 +84,6 @@ class Metrics {
   std::map<std::string, Histogram> histograms_;
 };
 
-#if ZAATAR_TRACE
-
 namespace internal {
 
 inline Metrics*& ThreadMetricsSlot() {
@@ -126,20 +121,6 @@ inline void MetricObserve(const char* name, uint64_t value) {
     m->Observe(name, value);
   }
 }
-
-#else  // !ZAATAR_TRACE
-
-inline Metrics* ThreadMetrics() { return nullptr; }
-
-class ScopedThreadMetrics {
- public:
-  explicit ScopedThreadMetrics(Metrics*) {}
-};
-
-inline void MetricAdd(const char*, uint64_t = 1) {}
-inline void MetricObserve(const char*, uint64_t) {}
-
-#endif  // ZAATAR_TRACE
 
 }  // namespace obs
 }  // namespace zaatar

@@ -13,10 +13,8 @@
 // current-span cursor, so the stacks never interleave).
 //
 // Cost model: with no tracer installed, a Span is one thread-local read and
-// a branch. With ZAATAR_TRACE=0 (cmake -DZAATAR_TRACE=OFF) the guards
-// compile to empty objects and the cost is exactly zero; span-derived cost
-// fields (BatchMeasurement) then read 0.0 — verdicts and protocol behavior
-// are unaffected.
+// a branch, so code that records no spans (the serve daemon) pays only that.
+// Tracing is always compiled in; DESIGN.md §12 gives the measured overhead.
 
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
@@ -27,10 +25,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef ZAATAR_TRACE
-#define ZAATAR_TRACE 1
-#endif
 
 namespace zaatar {
 namespace obs {
@@ -108,8 +102,6 @@ class Tracer {
   std::vector<Node> nodes_;
 };
 
-#if ZAATAR_TRACE
-
 namespace internal {
 
 // Per-thread tracing cursor: the ambient Tracer plus the innermost open
@@ -185,24 +177,6 @@ class Span {
   uint32_t id_ = kNoSpan;
   uint32_t parent_ = kNoSpan;
 };
-
-#else  // !ZAATAR_TRACE: every guard compiles to an empty object.
-
-inline Tracer* ThreadTracer() { return nullptr; }
-inline uint32_t CurrentSpan() { return kNoSpan; }
-
-class ScopedThreadTracer {
- public:
-  explicit ScopedThreadTracer(Tracer*, uint32_t = kNoSpan) {}
-};
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  uint32_t id() const { return kNoSpan; }
-};
-
-#endif  // ZAATAR_TRACE
 
 }  // namespace obs
 }  // namespace zaatar

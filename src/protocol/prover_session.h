@@ -96,12 +96,12 @@ class ProverSession {
   // Computes the homomorphic commitments for the next instance. The pointed-
   // to vectors must stay alive until Decommit() — the responses are computed
   // from the same vectors.
-  Status Commit(const Vectors& vectors, size_t workers = 1) {
+  Status Commit(const Vectors& vectors) {
     if (phase_ != SessionPhase::kCommit) {
       return WrongPhase("Commit", SessionPhase::kCommit, phase_);
     }
-    ZAATAR_ASSIGN_OR_RETURN(pending_,
-                            CommitInstance(next_instance_, vectors, workers));
+    ZAATAR_ASSIGN_OR_RETURN(
+        pending_, CommitInstance(next_instance_, vectors, /*workers=*/1));
     pending_vectors_ = vectors;
     phase_ = SessionPhase::kDecommit;
     return Status::Ok();

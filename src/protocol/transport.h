@@ -73,10 +73,6 @@ inline constexpr size_t kMaxEagerReserveBytes = 1u << 26;  // 64 MiB
 struct TransportOptions {
   std::chrono::milliseconds recv_deadline{0};  // per Receive() call
   std::chrono::milliseconds send_deadline{0};  // per Send() call
-  // Applied instead of recv_deadline to the FIRST Receive() on the endpoint
-  // (waiting for a peer that may never come up); zero falls back to
-  // recv_deadline.
-  std::chrono::milliseconds handshake_deadline{0};
 };
 
 // True for failures of the channel itself — the peer stalled (deadline),
@@ -176,7 +172,7 @@ class Transport {
   virtual Status Send(const std::vector<uint8_t>& frame) = 0;
 
   // Blocks until a frame arrives, the peer closes (kTruncated), or the
-  // configured recv/handshake deadline expires (kDeadlineExceeded).
+  // configured recv deadline expires (kDeadlineExceeded).
   virtual StatusOr<std::vector<uint8_t>> Receive() = 0;
 
   // Closes both directions. Any blocked or future Receive() on either side
@@ -249,7 +245,7 @@ class PipeTransport final : public Transport {
     // harness's wall-time partition treats them as idle time, not compute.
     obs::Span span("transport.recv");
     internal::CallDeadline deadline(
-        internal::OptionBudget(RecvDeadlineBudget()));
+        internal::OptionBudget(options_.recv_deadline));
     uint8_t prefix[4];
     ZAATAR_RETURN_IF_ERROR(
         ReadAll(prefix, 4, /*eof_ok_at_start=*/true, deadline));
@@ -275,7 +271,6 @@ class PipeTransport final : public Transport {
                                      /*eof_ok_at_start=*/false, deadline));
       received += chunk;
     }
-    received_any_.store(true, std::memory_order_relaxed);
     internal::RecordFrameReceived(frame.size());
     return frame;
   }
@@ -306,14 +301,6 @@ class PipeTransport final : public Transport {
   }
 
  private:
-  std::chrono::milliseconds RecvDeadlineBudget() const {
-    if (!received_any_.load(std::memory_order_relaxed) &&
-        options_.handshake_deadline.count() > 0) {
-      return options_.handshake_deadline;
-    }
-    return options_.recv_deadline;
-  }
-
   bool ShutDown() const {
     return shutdown_.load(std::memory_order_acquire);
   }
@@ -409,12 +396,11 @@ class PipeTransport final : public Transport {
   const int fd_;
   TransportOptions options_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<bool> received_any_{false};
 };
 
 // A bound, listening AF_UNIX stream socket — the accept side of a standing
 // service (zaatar-serve). The descriptor is non-blocking so an event loop
-// can register it with poll/epoll and drain the accept queue on readiness;
+// can register it with poll(2) and drain the accept queue on readiness;
 // accepted connections come back non-blocking too, ready to wrap in a
 // PipeTransport or feed a framed connection buffer. Owns the fd and unlinks
 // the socket path on destruction.

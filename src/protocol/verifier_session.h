@@ -49,10 +49,9 @@ class VerifierSession {
 
   // Wraps Argument::Setup: generates keys, Enc(r), alphas, and t from the
   // given queries. The session owns the resulting secrets for its lifetime.
-  VerifierSession(typename Adapter::Queries queries, Prg& prg,
-                  double query_generation_seconds = 0)
+  VerifierSession(typename Adapter::Queries queries, Prg& prg)
       : setup_(std::make_shared<const typename Arg::VerifierSetup>(
-            Arg::Setup(std::move(queries), prg, query_generation_seconds))) {}
+            Arg::Setup(std::move(queries), prg))) {}
 
   // Adopts an already-built batch setup instead of generating one — the
   // amortization path: a serve daemon builds the per-Ψ setup once and every

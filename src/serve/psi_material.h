@@ -139,11 +139,9 @@ inline StatusOr<std::shared_ptr<PsiMaterial>> BuildPsiMaterialF128(
   Qap<F> qap(program->zaatar.r1cs);
   typename ZaatarPcp<F>::Queries queries =
       ZaatarPcp<F>::GenerateQueries(qap, params, prg);
-  const double query_generation_s = sw.ElapsedSeconds();
   auto setup =
       std::make_shared<const typename Argument<F, Adapter>::VerifierSetup>(
-          Argument<F, Adapter>::Setup(std::move(queries), prg,
-                                      query_generation_s));
+          Argument<F, Adapter>::Setup(std::move(queries), prg));
   return std::shared_ptr<PsiMaterial>(std::make_shared<TypedPsiMaterial<F>>(
       std::move(program), std::move(setup), sw.ElapsedSeconds()));
 }

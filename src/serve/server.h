@@ -1,6 +1,6 @@
 // zaatar-serve: a standing multi-client verifier daemon. One I/O thread
-// runs a non-blocking readiness loop (epoll, poll fallback) over an AF_UNIX
-// listening socket and every client connection; a fixed WorkerPool runs the
+// runs a non-blocking poll(2) readiness loop over an AF_UNIX listening
+// socket and every client connection; a fixed WorkerPool runs the
 // expensive steps (per-Ψ setup builds, proof verification) off the I/O
 // thread; the AmortizationCache shares per-Ψ setup material across
 // connections. DESIGN.md §16 describes the architecture.
@@ -69,7 +69,6 @@ struct ServerOptions {
   size_t workers = 2;
   size_t max_queue = 32;           // worker-pool job bound (global)
   size_t max_connections = 32;     // admission control at accept
-  size_t max_pending_frames = 16;  // parsed-but-unprocessed frames per conn
 
   std::chrono::milliseconds handshake_deadline{30000};
   std::chrono::milliseconds idle_deadline{120000};
@@ -113,7 +112,7 @@ class Server {
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
       }
     }
-    poller_ = MakePoller();
+    poller_ = std::make_unique<PollPoller>();
     ZAATAR_RETURN_IF_ERROR(poller_->Add(listener_->fd(), kListenerTag,
                                         /*want_read=*/true,
                                         /*want_write=*/false));
@@ -220,6 +219,9 @@ class Server {
   static constexpr uint64_t kWakeupTag = 1;
   static constexpr uint64_t kFirstConnectionTag = 2;
   static constexpr size_t kReadChunk = 64 * 1024;
+  // Parsed-but-unprocessed frames per connection; past it the connection
+  // dies with a typed error (see the backpressure notes at the top).
+  static constexpr size_t kMaxPendingFrames = 16;
 
   // Incremental parser for [u32-LE length][payload] frames, the same wire
   // format PipeTransport speaks. Hostile lengths are screened against the
@@ -449,11 +451,11 @@ class Server {
       QueueError(conn, fed, /*close_conn=*/true);
       return true;  // the error frame still wants flushing
     }
-    if (conn.pending.size() > options_.max_pending_frames) {
+    if (conn.pending.size() > kMaxPendingFrames) {
       QueueError(conn,
                  ResourceExhaustedError(
                      "per-connection frame queue overflow (" +
-                     std::to_string(options_.max_pending_frames) + ")"),
+                     std::to_string(kMaxPendingFrames) + ")"),
                  /*close_conn=*/true);
     }
     return true;
@@ -716,7 +718,7 @@ class Server {
 
   void UpdateInterest(Connection& conn) {
     const bool want_read = !conn.close_after_flush && !conn.in_flight &&
-                           conn.pending.size() <= options_.max_pending_frames;
+                           conn.pending.size() <= kMaxPendingFrames;
     const bool want_write =
         conn.write_offset < conn.write_buf.size() || !conn.outbox.empty();
     poller_->Update(conn.fd, conn.tag, want_read, want_write);
@@ -795,7 +797,7 @@ class Server {
   mutable obs::Metrics metrics_;
 
   std::unique_ptr<protocol::UnixListener> listener_;
-  std::unique_ptr<Poller> poller_;
+  std::unique_ptr<PollPoller> poller_;
   std::unique_ptr<WorkerPool> pool_;
   std::thread io_thread_;
   std::atomic<bool> stopping_{false};

@@ -53,11 +53,10 @@ std::vector<uint8_t> Tamper(const std::vector<uint8_t>& frame, Edit edit) {
 }
 
 std::shared_ptr<const ZaatarArgument<F>::VerifierSetup> ZaatarSetup(
-    const Qap<F>& qap, Prg& prg, double query_generation_seconds = 0) {
+    const Qap<F>& qap, Prg& prg) {
   return std::make_shared<const ZaatarArgument<F>::VerifierSetup>(
       ZaatarArgument<F>::Setup(
-          ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg,
-          query_generation_seconds));
+          ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg), prg));
 }
 
 TEST(ZaatarArgumentTest, BatchAcceptsHonestProver) {
@@ -125,17 +124,6 @@ TEST(ZaatarArgumentTest, RejectsCheatingWitnessEndToEnd) {
   auto frame = ProveFrame<F>(setup->EncodeSetupMessage(), {&proof.z, &proof.h});
   EXPECT_FALSE(
       Verify<ZaatarAdapter<F>>(setup, frame, f.rs.BoundValues()).accepted());
-}
-
-// The setup times itself; the per-instance prover and verifier costs are
-// the session's spans, which HarnessTest.ZaatarBatchOverLcsAccepts checks.
-TEST(ZaatarArgumentTest, CostAccountingIsPopulated) {
-  Prg prg(114);
-  auto f = ZaatarFixture::Make(prg);
-  Qap<F> qap(f.transform.r1cs);
-  auto setup = ZaatarSetup(qap, prg, 0.5);
-  EXPECT_EQ(setup->costs.query_generation_s, 0.5);
-  EXPECT_GT(setup->costs.commit_setup_s, 0.0);
 }
 
 TEST(GingerArgumentTest, EndToEndAcceptAndReject) {

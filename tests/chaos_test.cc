@@ -45,7 +45,6 @@ MeasureOptions ChaosMeasureOptions(uint64_t seed) {
   opt.measure_native = false;
   opt.transport.recv_deadline = Millis(400);
   opt.transport.send_deadline = Millis(400);
-  opt.transport.handshake_deadline = Millis(400);
   opt.backoff.max_retries = 2;
   opt.backoff.initial = Millis(1);
   opt.backoff.cap = Millis(4);

@@ -206,12 +206,10 @@ TEST(CommitmentTest, PhaseTimersAccumulate) {
     ASSERT_TRUE(prover.Commit({&f.u, &f.u}).ok());
     ASSERT_TRUE(prover.Decommit().ok());
   }
-#if ZAATAR_TRACE
   EXPECT_EQ(tracer.CountSpans("prover.commit"), 2u);
   EXPECT_EQ(tracer.CountSpans("prover.answer"), 2u);
   EXPECT_GT(tracer.SumSeconds("prover.commit"), 0.0);
   EXPECT_GT(tracer.SumSeconds("prover.answer"), 0.0);
-#endif
 }
 
 // The shape screens that replaced assert()-only validation: mismatched

@@ -227,7 +227,6 @@ TEST(HarnessPoolTest, WireIsByteIdenticalForEveryProverThreadCount) {
   ExpectTheSameWire(MakeRootFindApp(2, 4), /*beta=*/3, /*seed=*/34);
 }
 
-#if ZAATAR_TRACE
 // Pool threads stitch their spans under the batch root like the sequential
 // prover's, so the per-phase cost fields keep their meaning (per-instance
 // sums, now measured on whichever thread proved the instance).
@@ -258,7 +257,6 @@ TEST(HarnessPoolTest, PooledSpansStitchUnderTheBatchRoot) {
   EXPECT_GT(run->m.prover.crypto_s, 0.0);
   EXPECT_GE(run->m.metrics->CounterValue("multiexp.calls"), 2 * kBeta);
 }
-#endif  // ZAATAR_TRACE
 
 TEST(HarnessTest, ZaatarProofIsShorterThanGingerAtEqualSize) {
   auto app = MakeLcsApp(4);

@@ -23,13 +23,6 @@ namespace {
 
 // ----- Tracer / Span unit tests -----
 
-// Everything that observes recorded spans or ambient metric installation
-// requires live instrumentation; under cmake -DZAATAR_TRACE=OFF those
-// guards compile to empty objects by design, so the behavioral tests are
-// gated out and only the structural ones (bucket math, direct registry
-// writes, null export) remain.
-#if ZAATAR_TRACE
-
 TEST(TraceTest, NestedSpansFormATree) {
   obs::Tracer tracer;
   {
@@ -107,8 +100,6 @@ TEST(TraceTest, DefaultParentStitchesWorkerThreadUnderSpawningSpan) {
   EXPECT_EQ(nodes[2].parent, 1u);
 }
 
-#endif  // ZAATAR_TRACE
-
 // ----- Metrics unit tests -----
 
 TEST(MetricsTest, BucketIndexPowerOfTwoBoundaries) {
@@ -141,8 +132,6 @@ TEST(MetricsTest, CountersAndHistograms) {
   EXPECT_EQ(h.buckets[obs::Metrics::BucketIndex(5)], 2u);  // [4, 8)
   EXPECT_EQ(m.HistogramValue("missing").count, 0u);
 }
-
-#if ZAATAR_TRACE
 
 // multiexp.window_bits must record the window width the bucket kernel
 // actually chose — plumbed out of the kernel, not re-derived at the metrics
@@ -271,8 +260,6 @@ TEST(ExportTest, JsonIsDeterministicAndWellFormed) {
   EXPECT_NE(once.find("\"count\": 2, \"sum\": 6"), std::string::npos);
 }
 
-#endif  // ZAATAR_TRACE
-
 TEST(ExportTest, NullCollectorsExportEmptyObjects) {
   std::string json = obs::ExportJson(nullptr, nullptr);
   EXPECT_NE(json.find("\"spans\": []"), std::string::npos);
@@ -281,8 +268,6 @@ TEST(ExportTest, NullCollectorsExportEmptyObjects) {
 }
 
 // ----- End to end: the harness's span tree -----
-
-#if ZAATAR_TRACE
 
 class HarnessTraceTest : public ::testing::Test {
  protected:
@@ -398,6 +383,7 @@ TEST_F(HarnessTraceTest, CostFieldsAreViewsOverTheSpanTree) {
   const double b = static_cast<double>(kBeta);
   const BatchMeasurement& m = *measurement_;
   EXPECT_DOUBLE_EQ(m.query_generation_s, t.SumSeconds("verifier.query_gen"));
+  EXPECT_DOUBLE_EQ(m.commit_setup_s, t.SumSeconds("verifier.commit_setup"));
   EXPECT_DOUBLE_EQ(m.prover.solve_constraints_s,
                    t.SumSeconds("prover.solve") / b);
   EXPECT_DOUBLE_EQ(m.prover.construct_proof_s,
@@ -448,8 +434,6 @@ TEST_F(HarnessTraceTest, BatchExportsAsJson) {
   EXPECT_EQ(json, obs::ExportJson(measurement_->trace.get(),
                                   measurement_->metrics.get()));
 }
-
-#endif  // ZAATAR_TRACE
 
 }  // namespace
 }  // namespace zaatar

@@ -1,5 +1,5 @@
 // zaatar-serve daemon tests: the include-graph trust boundary for the
-// client half, envelope/registry codecs, both pollers, the bounded worker
+// client half, envelope/registry codecs, the poller, the bounded worker
 // pool, the amortization cache (single-build latch, LRU + epoch eviction,
 // failure retry), and the daemon end to end over AF_UNIX — two clients
 // amortizing one setup, typed saturation shedding, admission control,
@@ -106,54 +106,44 @@ TEST(ServeMessagesTest, HostileFramesRejected) {
   EXPECT_FALSE(serve::HelloMessage::DecodePayload(bad).ok());
 }
 
-// ----- pollers -----
+// ----- poller -----
 
-void ExercisePoller(serve::Poller* poller) {
+TEST(PollerTest, PollPollerReadiness) {
+  serve::PollPoller poller;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(poller->Add(fds[0], /*tag=*/7, /*want_read=*/true,
-                          /*want_write=*/false)
+  ASSERT_TRUE(poller.Add(fds[0], /*tag=*/7, /*want_read=*/true,
+                         /*want_write=*/false)
                   .ok());
   // Nothing buffered: a bounded wait returns empty.
-  auto idle = poller->Wait(20);
+  auto idle = poller.Wait(20);
   ASSERT_TRUE(idle.ok());
   EXPECT_TRUE(idle->empty());
   // One byte: readable with our tag.
   ASSERT_EQ(::write(fds[1], "x", 1), 1);
-  auto ready = poller->Wait(1000);
+  auto ready = poller.Wait(1000);
   ASSERT_TRUE(ready.ok());
   ASSERT_EQ(ready->size(), 1u);
   EXPECT_EQ((*ready)[0].tag, 7u);
   EXPECT_TRUE((*ready)[0].readable);
   // Disarmed: the still-buffered byte no longer reports (backpressure
   // depends on level-triggered disarm/re-arm).
-  ASSERT_TRUE(poller->Update(fds[0], 7, /*want_read=*/false,
-                             /*want_write=*/false)
+  ASSERT_TRUE(poller.Update(fds[0], 7, /*want_read=*/false,
+                            /*want_write=*/false)
                   .ok());
-  auto disarmed = poller->Wait(20);
+  auto disarmed = poller.Wait(20);
   ASSERT_TRUE(disarmed.ok());
   EXPECT_TRUE(disarmed->empty());
   // Re-armed: it reports again.
-  ASSERT_TRUE(poller->Update(fds[0], 7, /*want_read=*/true,
-                             /*want_write=*/false)
+  ASSERT_TRUE(poller.Update(fds[0], 7, /*want_read=*/true,
+                            /*want_write=*/false)
                   .ok());
-  auto rearmed = poller->Wait(1000);
+  auto rearmed = poller.Wait(1000);
   ASSERT_TRUE(rearmed.ok());
   ASSERT_EQ(rearmed->size(), 1u);
-  ASSERT_TRUE(poller->Remove(fds[0]).ok());
+  ASSERT_TRUE(poller.Remove(fds[0]).ok());
   ::close(fds[0]);
   ::close(fds[1]);
-}
-
-TEST(PollerTest, PollPollerReadiness) {
-  serve::PollPoller poller;
-  ExercisePoller(&poller);
-}
-
-TEST(PollerTest, DefaultPollerReadiness) {
-  auto poller = serve::MakePoller();
-  ASSERT_NE(poller, nullptr);
-  ExercisePoller(poller.get());
 }
 
 // ----- worker pool -----
@@ -479,9 +469,7 @@ TEST(ServeDaemonTest, SaturationShedsTypedAndConnectionSurvives) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(*retried, std::vector<uint8_t>({3}));
   const std::string stats = server.StatsJson();
-  const std::string poller = serve::MakePoller()->name();
-  EXPECT_NE(stats.find("\"poller\": \"" + poller + "\""), std::string::npos)
-      << stats;
+  EXPECT_NE(stats.find("\"poller\": \"poll\""), std::string::npos) << stats;
   server.Stop();
 }
 
