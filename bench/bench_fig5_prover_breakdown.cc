@@ -10,16 +10,17 @@
 // the artifact EXPERIMENTS.md's Figure 5 table is generated from. The prover
 // runs one instance at a time (prover_threads = 1); each phase is the
 // per-instance time of its span, and construct-u's ComputeH still spreads
-// over its own worker threads.
+// its three products over the residue primes.
 //
 // --json [--out PATH]: instead of the table, emit BENCH_ntt.json (schema
-// ntt.pipeline.v1) — the residue-pipeline ComputeH decomposed into
-// interpolate / mul / divide at |C| in {256, 1024, 4096} over synthetic
-// R1CS, with the Figure 3 model 3·f·|C|·log2²|C| as the yardstick and the
-// frozen coefficient-form path timed as a baseline at |C| <= 1024. Both
-// paths run on one thread, and ComputeH and f are each the best of several
-// runs. ci.sh validates the schema and gates construct_proof / model <= 6
-// at |C| = 1024.
+// ntt.pipeline.v2) — ComputeH and its qap.shift span at |C| in
+// {256, 1024, 4096} over synthetic R1CS, with the Figure 3 model
+// 3·f·|C|·log2²|C| as the yardstick and the frozen coefficient-form path
+// timed as a baseline at |C| <= 1024. Both paths run on one thread.
+// ComputeH is the best of several instances, and f the best of the
+// multiply chains timed between those instances, so both sides are sampled
+// in the same stretch. ci.sh validates the schema and gates
+// construct_proof / model <= 6 at |C| = 1024.
 
 #include <cmath>
 #include <cstdio>
@@ -157,39 +158,26 @@ SyntheticSystem MakeSynthetic(size_t m, Prg& prg) {
   return s;
 }
 
-// Per-multiply field cost, measured inline (the only model parameter the
-// construct-proof term uses; no need for the full crypto microbenchmarks).
-// The best of five multiply chains, so a preempted chain does not count.
-double MeasureFieldMulSeconds() {
-  Prg prg(0xF00D);
-  F x = prg.NextNonzeroField<F>();
-  F y = prg.NextNonzeroField<F>();
+// Per-multiply field cost of one 200k-multiply chain (the only model
+// parameter the construct-proof term uses; no need for the full crypto
+// microbenchmarks). The chain carries x across calls, so it stays live.
+double TimeFieldMulChain(F& x, const F& y) {
   const size_t reps = 200000;
-  double best = -1;
-  for (int round = 0; round < 6; round++) {  // round 0 warms up
-    Stopwatch sw;
-    for (size_t i = 0; i < reps; i++) {
-      x *= y;
-    }
-    const double f = sw.ElapsedSeconds() / static_cast<double>(reps);
-    if (round > 0 && (best < 0 || f < best)) {
-      best = f;
-    }
+  Stopwatch sw;
+  for (size_t i = 0; i < reps; i++) {
+    x *= y;
   }
-  if (x.IsZero()) {  // keep the loop alive
-    printf("unreachable\n");
-  }
-  return best;
+  return sw.ElapsedSeconds() / static_cast<double>(reps);
 }
 
 struct SizeResult {
   size_t c = 0;
-  double construct_s = 0, interp_s = 0, mul_s = 0, divide_s = 0;
+  double construct_s = 0, shift_s = 0, f_s = 0;
   double model_s = 0, ratio = 0;
   double naive_s = -1;  // < 0: not measured at this size
 };
 
-SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
+SizeResult MeasureSize(size_t m, size_t beta) {
   Prg prg(0xBE7A + m);
   SyntheticSystem s = MakeSynthetic(m, prg);
   Qap<F> qap(s.cs);
@@ -198,12 +186,16 @@ SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
   // Both ComputeH paths run on one thread, as the single-core model they
   // are divided by assumes. Each instance gets its own tracer, and the
   // fastest instance's phases are reported together, so a preempted
-  // instance does not count.
+  // instance does not count. A multiply chain follows every instance
+  // (after one warm-up chain), and f is the fastest of them.
   ScopedParallelismCap one_thread(1);
   F sink = F::Zero();
+  F x = prg.NextNonzeroField<F>();
+  const F y = prg.NextNonzeroField<F>();
   SizeResult r;
   r.c = m;
   r.construct_s = -1;
+  TimeFieldMulChain(x, y);
   for (size_t i = 0; i < beta; i++) {
     obs::Tracer tracer;
     {
@@ -217,13 +209,15 @@ SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
     const double construct_s = tracer.SumSeconds("qap.compute_h");
     if (r.construct_s < 0 || construct_s < r.construct_s) {
       r.construct_s = construct_s;
-      r.interp_s = tracer.SumSeconds("qap.interpolate");
-      r.mul_s = tracer.SumSeconds("qap.mul");
-      r.divide_s = tracer.SumSeconds("qap.divide");
+      r.shift_s = tracer.SumSeconds("qap.shift");
+    }
+    const double f = TimeFieldMulChain(x, y);
+    if (i == 0 || f < r.f_s) {
+      r.f_s = f;
     }
   }
   double lg = std::log2(static_cast<double>(m));
-  r.model_s = 3.0 * f_seconds * static_cast<double>(m) * lg * lg;
+  r.model_s = 3.0 * r.f_s * static_cast<double>(m) * lg * lg;
   r.ratio = r.construct_s / r.model_s;
 
   if (m <= 1024) {
@@ -234,7 +228,7 @@ SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
     r.naive_s = sw.ElapsedSeconds();
     sink += hr.h[m / 2];
   }
-  if (sink.IsZero()) {
+  if (sink.IsZero() || x.IsZero()) {
     printf("# unlikely checksum\n");
   }
   return r;
@@ -242,28 +236,25 @@ SizeResult MeasureSize(size_t m, size_t beta, double f_seconds) {
 
 int JsonMain(const char* out_path) {
   const size_t kBeta = 4;  // instances per size; the fastest one is reported
-  double f_seconds = MeasureFieldMulSeconds();
   std::vector<SizeResult> results;
   for (size_t m : {size_t{256}, size_t{1024}, size_t{4096}}) {
-    results.push_back(MeasureSize(m, kBeta, f_seconds));
+    results.push_back(MeasureSize(m, kBeta));
   }
 
   std::string json;
   char buf[256];
-  json += "{\n  \"schema\": \"ntt.pipeline.v1\",\n";
+  json += "{\n  \"schema\": \"ntt.pipeline.v2\",\n";
   snprintf(buf, sizeof(buf),
-           "  \"field\": \"%s\",\n  \"beta\": %zu,\n"
-           "  \"f_seconds\": %.3e,\n  \"sizes\": [\n",
-           F::kName, kBeta, f_seconds);
+           "  \"field\": \"%s\",\n  \"beta\": %zu,\n  \"sizes\": [\n",
+           F::kName, kBeta);
   json += buf;
   for (size_t i = 0; i < results.size(); i++) {
     const SizeResult& r = results[i];
     snprintf(buf, sizeof(buf),
              "    {\"c\": %zu, \"construct_proof_s\": %.6e, "
-             "\"interpolate_s\": %.6e, \"mul_s\": %.6e, \"divide_s\": %.6e, "
-             "\"model_s\": %.6e, \"model_ratio\": %.3f, ",
-             r.c, r.construct_s, r.interp_s, r.mul_s, r.divide_s, r.model_s,
-             r.ratio);
+             "\"shift_s\": %.6e, \"f_s\": %.3e, \"model_s\": %.6e, "
+             "\"model_ratio\": %.3f, ",
+             r.c, r.construct_s, r.shift_s, r.f_s, r.model_s, r.ratio);
     json += buf;
     if (r.naive_s >= 0) {
       snprintf(buf, sizeof(buf), "\"naive_s\": %.6e}", r.naive_s);

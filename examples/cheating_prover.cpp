@@ -92,7 +92,8 @@ int main() {
   }
 
   // Attack 2: fabricate a witness for the wrong output and prove it
-  // "honestly" (H computed as the best-effort quotient).
+  // "honestly" (h computed as P_w/D at the h nodes, though D does not
+  // divide P_w).
   {
     auto forged_w = zaatar_w;
     forged_w[0] += F::One();

@@ -7,6 +7,10 @@
 # only meaningful if "no crash" also means "no silent UB", which the
 # sanitizer passes establish.
 #
+# Every check runs to the end even when an earlier one fails: each runs in
+# its own errexit subshell (see `check` below), the names of the failed
+# ones are printed after the last stage, and the script then exits 1.
+#
 # Usage: scripts/ci.sh [--skip-plain] [--only address|undefined|thread]
 
 set -euo pipefail
@@ -27,6 +31,28 @@ watchdog() {
     timeout --signal=TERM --kill-after=30 "$WATCHDOG_SECS" "$@"
   else
     "$@"
+  fi
+}
+
+# Runs one check ("$@") in a subshell with errexit on, so a failing command
+# inside it ends that check only. errexit is off around the call: a
+# subshell in a condition or on the left of || would run with errexit
+# ignored inside it and hide its failures.
+FAILED=()
+check() {
+  local name="$1"
+  shift
+  local rc
+  set +e
+  (
+    set -e
+    "$@"
+  )
+  rc=$?
+  set -e
+  if [[ "$rc" -ne 0 ]]; then
+    echo "==== FAILED: $name (exit $rc) ====" >&2
+    FAILED+=("$name")
   fi
 }
 
@@ -54,7 +80,7 @@ run_config() {
   (cd "$build_dir" && watchdog ctest --output-on-failure -j "$JOBS")
 }
 
-bench_smoke() {
+multiexp_smoke() {
   # Build + run the multiexp bench at a small size and check that its JSON
   # baseline parses: catches both kernel regressions (the bench exits nonzero
   # on any multiexp/naive mismatch) and malformed emitter output.
@@ -87,12 +113,15 @@ EOF
     grep -q '"results"' "$json"
   fi
   echo "bench smoke ok: $json"
+}
 
+fig7_smoke() {
   # Figure 7 break-even baseline: validate the emitted schema and assert the
   # perf trajectory — in the paper-regime rows (paper input sizes + GMP
   # local baselines, this machine's measured verifier kernels) every app
   # must break even strictly earlier than the recorded pre-kernel-push
   # baseline. Catches both emitter rot and verifier-kernel regressions.
+  local build_dir="$1"
   echo "==== [bench] fig7 break-even smoke ===="
   local fjson="$build_dir/BENCH_fig7_smoke.json"
   "$build_dir/bench/bench_fig7_breakeven" --out "$fjson" >/dev/null
@@ -136,15 +165,18 @@ EOF
     grep -q '"paper_scale_measured_micro"' "$fjson"
   fi
   echo "bench smoke ok: $fjson"
+}
 
+ntt_smoke() {
   # NTT proving-pipeline baseline: emit BENCH_ntt.json from the --json mode
-  # of the fig5 bench (per-phase ComputeH seconds on synthetic R1CS at
-  # |C| in {256, 1024, 4096}) and gate the residue pipeline against the
-  # Figure 3 model: construct_proof / (3 f |C| log2^2 |C|) <= 6 at
-  # |C| = 1024. ComputeH runs on one thread, like the model, and both it
-  # and f are best-of timings. The pre-refactor coefficient-form path sat
-  # at 12-20x; a ratio drifting back above 6 means the pipeline fell off
-  # the NTT path.
+  # of the fig5 bench (ComputeH and its qap.shift span on synthetic R1CS at
+  # |C| in {256, 1024, 4096}) and gate it against the Figure 3 model:
+  # construct_proof / (3 f |C| log2^2 |C|) <= 6 at |C| = 1024. ComputeH
+  # runs on one thread, like the model; it is the best of four instances
+  # and f the best of the multiply chains timed between them. The
+  # coefficient-form path (ComputeHNaive) sits at 12-20x; a ratio drifting
+  # above 6 means the pipeline fell off the NTT path.
+  local build_dir="$1"
   echo "==== [bench] ntt pipeline smoke ===="
   local njson="$build_dir/BENCH_ntt_smoke.json"
   "$build_dir/bench/bench_fig5_prover_breakdown" --json --out "$njson"
@@ -153,19 +185,17 @@ EOF
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "ntt.pipeline.v1", doc.get("schema")
-assert doc["f_seconds"] > 0
+assert doc["schema"] == "ntt.pipeline.v2", doc.get("schema")
 sizes = doc["sizes"]
 assert [s["c"] for s in sizes] == [256, 1024, 4096], sizes
 for s in sizes:
-    for key in ("construct_proof_s", "interpolate_s", "mul_s", "divide_s",
-                "model_s", "model_ratio"):
+    for key in ("construct_proof_s", "shift_s", "f_s", "model_s",
+                "model_ratio"):
         assert s[key] > 0, f"missing/zero {key} at |C|={s['c']}"
     assert "naive_s" in s
-    # The phase spans must account for most of construct_proof (the
-    # evaluation pass outside them is linear and small).
-    phases = s["interpolate_s"] + s["mul_s"] + s["divide_s"]
-    assert phases <= s["construct_proof_s"] * 1.001, s
+    # The shift span must sit inside construct_proof (the evaluation pass
+    # and the pointwise division outside it are linear and small).
+    assert s["shift_s"] <= s["construct_proof_s"] * 1.001, s
 gate = next(s for s in sizes if s["c"] == 1024)
 assert gate["model_ratio"] <= 6.0, \
     f"construct_proof / model = {gate['model_ratio']:.2f} > 6 at |C|=1024"
@@ -175,15 +205,18 @@ print("ntt pipeline ok:",
       f"(naive@1024 {gate['naive_s']:.3f}s)")
 EOF
   else
-    grep -q '"ntt.pipeline.v1"' "$njson"
+    grep -q '"ntt.pipeline.v2"' "$njson"
   fi
   echo "bench smoke ok: $njson"
+}
 
-  # Same for the session/transport overhead bench: it exits nonzero if the
+protocol_smoke() {
+  # The session/transport overhead bench: it exits nonzero if the
   # socketpair path's verdicts diverge from the in-process path's, so this
   # doubles as a cheap cross-path equivalence check. The --trace export is
   # validated as JSON too, and the baseline schema is checked for the
   # per-phase keys derived from the span tree.
+  local build_dir="$1"
   echo "==== [bench] protocol smoke ===="
   local pjson="$build_dir/BENCH_protocol_smoke.json"
   local ptrace="$build_dir/TRACE_protocol_smoke.json"
@@ -277,23 +310,21 @@ EOF
   fi
 }
 
-examples_stage() {
+run_example() {
   # The examples drive the two sessions end to end; each is deterministic
   # and exits nonzero on a crash or an unexpected verdict.
-  local build_dir="$1"
-  for example in quickstart cheating_prover verified_clustering \
-                 verified_shortest_paths; do
-    echo "==== [examples] $example ===="
-    watchdog "$build_dir/examples/$example"
-  done
+  local build_dir="$1" example="$2"
+  echo "==== [examples] $example ===="
+  watchdog "$build_dir/examples/$example"
 }
 
 serve_stage() {
   # The zaatar-serve daemon end to end: bring it up under a watchdog, prove
   # from two concurrent tenants (the second handshake must ride the
   # amortization cache), validate the /stats JSON schema and gate on a
-  # nonzero cache hit rate, then stop it via the admin message. A daemon
-  # that wedges is killed by the trap and fails the stage.
+  # nonzero cache hit rate, then stop it via the admin message. The check's
+  # subshell kills the daemon on exit, so a daemon that wedges, or outlives
+  # a failed step, cannot outlast the stage.
   local build_dir="$1"
   echo "==== [serve] daemon smoke (2 concurrent tenants) ===="
   local serve_bin="$build_dir/src/apps/zaatar-serve"
@@ -301,7 +332,7 @@ serve_stage() {
   "$serve_bin" --mode serve --socket "$sock" --workers 2 &
   local daemon_pid=$!
   # shellcheck disable=SC2064
-  trap "kill $daemon_pid 2>/dev/null || true; rm -f '$sock'" RETURN
+  trap "kill $daemon_pid 2>/dev/null || true; rm -f '$sock'" EXIT
   for _ in $(seq 1 100); do
     [[ -S "$sock" ]] && break
     sleep 0.1
@@ -323,7 +354,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["schema"] == "zaatar.serve.stats.v1", doc.get("schema")
-assert doc["poller"] in ("epoll", "poll"), doc["poller"]
+assert doc["poller"] == "poll", doc["poller"]
 cache = doc["cache"]
 assert cache["misses"] >= 1, f"no setup build recorded: {cache}"
 assert cache["hits"] >= 1, f"amortization failure, zero cache hits: {cache}"
@@ -344,10 +375,13 @@ EOF
   watchdog "$serve_bin" --mode shutdown --socket "$sock"
   wait "$daemon_pid"
   echo "serve smoke ok: $stats_json"
+}
 
+serve_bench_smoke() {
   # Amortization bench: the emitter itself exits nonzero when the cache
   # records zero hits or the warm row rejects an honest instance; the
   # schema check below guards the JSON consumers.
+  local build_dir="$1"
   echo "==== [serve] bench_serve amortization smoke ===="
   local sjson="$build_dir/BENCH_serve_smoke.json"
   watchdog "$build_dir/bench/bench_serve" --smoke --out "$sjson"
@@ -382,18 +416,26 @@ lint_gate() {
   "$build_dir/src/apps/zaatar-lint" --suite --dir examples/zlang --werror
 }
 
-equiv_gate() {
-  # Symbolic equivalence stage (DESIGN.md §14): every suite program and
-  # every example must reach a proof-grade verdict under --prove (any
-  # ZL021/ZL022 is an error; ZL023 warnings fail via --werror), the
-  # seeded-defect catch-rate is pinned by symbolic_equiv_test, and a short
-  # differential-fuzz sweep cross-checks the compiler end to end.
+# Symbolic equivalence stage (DESIGN.md §14): every suite program and every
+# example must reach a proof-grade verdict under --prove (any ZL021/ZL022 is
+# an error; ZL023 warnings fail via --werror), the seeded-defect catch-rate
+# is pinned by symbolic_equiv_test, and a short differential-fuzz sweep
+# cross-checks the compiler end to end.
+equiv_prove() {
   local build_dir="$1"
   echo "==== [equiv] zaatar-lint --prove ===="
   "$build_dir/src/apps/zaatar-lint" --suite --dir examples/zlang \
     --prove --werror
+}
+
+equiv_catch_rate() {
+  local build_dir="$1"
   echo "==== [equiv] seeded-defect catch rate ===="
   watchdog "$build_dir/tests/symbolic_equiv_test"
+}
+
+equiv_fuzz() {
+  local build_dir="$1"
   echo "==== [equiv] differential fuzz (plain, 60 iters) ===="
   ZAATAR_FUZZ_ITERS=60 watchdog "$build_dir/tests/equiv_fuzz_test"
 }
@@ -424,32 +466,47 @@ clang_tidy_gate() {
 }
 
 if [[ "$SKIP_PLAIN" -eq 0 && -z "$ONLY" ]]; then
-  run_config plain build ""
-  examples_stage build
-  lint_gate build
-  equiv_gate build
-  clang_tidy_gate build
-  bench_smoke build
-  trace_smoke build
-  serve_stage build
+  check "plain build + ctest" run_config plain build ""
+  for example in quickstart cheating_prover verified_clustering \
+                 verified_shortest_paths; do
+    check "example $example" run_example build "$example"
+  done
+  check "zaatar-lint" lint_gate build
+  check "zaatar-lint --prove" equiv_prove build
+  check "seeded-defect catch rate" equiv_catch_rate build
+  check "differential fuzz (plain)" equiv_fuzz build
+  check "clang-tidy" clang_tidy_gate build
+  check "multiexp smoke" multiexp_smoke build
+  check "fig7 break-even smoke" fig7_smoke build
+  check "ntt pipeline smoke" ntt_smoke build
+  check "protocol smoke" protocol_smoke build
+  check "zaatar-run --trace smoke" trace_smoke build
+  check "serve daemon smoke" serve_stage build
+  check "bench_serve smoke" serve_bench_smoke build
 fi
 
 # ASan guards the fault-injection suite against out-of-bounds reads on
 # hostile inputs; UBSan against integer/shift/enum UB in the decoders.
-if [[ -z "$ONLY" || "$ONLY" == "address" ]]; then
-  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-    run_config asan build-asan address
+asan_fuzz() {
   echo "==== [equiv] differential fuzz (ASan, 200 iters) ===="
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" ZAATAR_FUZZ_ITERS=200 \
     watchdog ./build-asan/tests/equiv_fuzz_test
-fi
-if [[ -z "$ONLY" || "$ONLY" == "undefined" ]]; then
-  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
-    run_config ubsan build-ubsan undefined
+}
+ubsan_fuzz() {
   # UBSan is the sanitizer that flags out-of-range shifts in static folds.
   echo "==== [equiv] differential fuzz (UBSan, 200 iters) ===="
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" ZAATAR_FUZZ_ITERS=200 \
     watchdog ./build-ubsan/tests/equiv_fuzz_test
+}
+if [[ -z "$ONLY" || "$ONLY" == "address" ]]; then
+  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
+    check "asan build + ctest" run_config asan build-asan address
+  check "differential fuzz (ASan)" asan_fuzz
+fi
+if [[ -z "$ONLY" || "$ONLY" == "undefined" ]]; then
+  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+    check "ubsan build + ctest" run_config ubsan build-ubsan undefined
+  check "differential fuzz (UBSan)" ubsan_fuzz
 fi
 
 # TSan covers the worker-pool code paths (ParallelFor and the multiexp
@@ -461,34 +518,39 @@ fi
 # (ProverSession::ProveBatch under the harness and the serve client). Only
 # the concurrency-heavy tests run: TSan's ~10x slowdown makes the full suite
 # impractical, and the remaining tests are single-threaded.
-tsan_config() {
+tsan_build() {
   echo "==== [tsan] configure + build ===="
   cmake -B build-tsan -S . -DZAATAR_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target parallel_test multiexp_test protocol_test obs_test \
              transport_robustness_test serve_test chaos_test \
              residue_test poly_test qap_test harness_test
-  echo "==== [tsan] concurrency-heavy tests ===="
-  for t in parallel_test multiexp_test protocol_test obs_test \
-           transport_robustness_test serve_test; do
-    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-      watchdog "./build-tsan/tests/$t"
-  done
-  echo "==== [tsan] pooled prover (harness) ===="
+}
+tsan_test() {
+  local t="$1"
+  shift
+  echo "==== [tsan] $t $* ===="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    watchdog ./build-tsan/tests/harness_test --gtest_filter='HarnessPoolTest.*'
-  # Residue-pipeline tests with the per-prime fan-out forced on: on a
-  # single-core runner PolyWorkers() is 1 and the ParallelFor paths in
-  # ResiduePoly/ComputeH would run inline, so pin 4 workers to make TSan
-  # actually see the concurrent transforms and chunked folds.
-  echo "==== [tsan] residue pipeline (ZAATAR_POLY_WORKERS=4) ===="
-  for t in residue_test poly_test qap_test; do
-    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" ZAATAR_POLY_WORKERS=4 \
-      watchdog "./build-tsan/tests/$t"
-  done
+    watchdog "./build-tsan/tests/$t" "$@"
+}
+# Residue-pipeline tests with the per-prime fan-out forced on: on a
+# single-core runner PolyWorkers() is 1 and the ParallelFor paths in
+# ResiduePoly/ComputeH would run inline, so pin 4 workers to make TSan
+# actually see the concurrent transforms and chunked folds.
+tsan_poly_test() {
+  ZAATAR_POLY_WORKERS=4 tsan_test "$1"
 }
 if [[ -z "$ONLY" || "$ONLY" == "thread" ]]; then
-  tsan_config
+  check "tsan build" tsan_build
+  for t in parallel_test multiexp_test protocol_test obs_test \
+           transport_robustness_test serve_test; do
+    check "tsan $t" tsan_test "$t"
+  done
+  check "tsan pooled prover (harness)" \
+    tsan_test harness_test --gtest_filter='HarnessPoolTest.*'
+  for t in residue_test poly_test qap_test; do
+    check "tsan $t (ZAATAR_POLY_WORKERS=4)" tsan_poly_test "$t"
+  done
 fi
 
 # Chaos stage: the seeded fault-schedule soak (tests/chaos_test.cc) under
@@ -497,18 +559,26 @@ fi
 # every run ends in a typed verdict" gate, and a smaller TSan sweep (16 x 2)
 # proves the recovery machinery (reconnects, reaps) is race-free. Fixed base
 # seed — a failure reproduces from the seed printed in the assertion message.
-chaos_stage() {
+chaos_asan() {
   echo "==== [chaos] soak under ASan (200 schedules) ===="
   cmake -B build-asan -S . -DZAATAR_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS" --target chaos_test
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" ZAATAR_CHAOS_SEEDS=100 \
     watchdog ./build-asan/tests/chaos_test
+}
+chaos_tsan() {
   echo "==== [chaos] soak under TSan ===="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" ZAATAR_CHAOS_SEEDS=16 \
     watchdog ./build-tsan/tests/chaos_test
 }
 if [[ -z "$ONLY" || "$ONLY" == "thread" ]]; then
-  chaos_stage
+  check "chaos soak (ASan)" chaos_asan
+  check "chaos soak (TSan)" chaos_tsan
 fi
 
+if [[ "${#FAILED[@]}" -gt 0 ]]; then
+  echo "==== CI FAILED: ${#FAILED[@]} check(s) ====" >&2
+  printf '  %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
 echo "==== CI passed ===="

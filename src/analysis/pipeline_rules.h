@@ -6,9 +6,10 @@
 // |Z'| = |Z| + K2 / |C'| = |C| + K2 accounting and the structural shape of
 // its product rows, and — at the QAP layer — that the divisor polynomial
 // D(t) = prod_{j=1..|C|} (t - j) really is the degree-|C| monic polynomial
-// the divisibility argument (paper Appendix A.1) assumes, and that the
+// the divisibility argument (paper Appendix A.1) assumes, that the
 // verifier-side evaluation produces one row per variable plus the constant
-// row.
+// row, and that the prover's shift to the h nodes and the verifier's h row
+// agree on one basis.
 
 #ifndef SRC_ANALYSIS_PIPELINE_RULES_H_
 #define SRC_ANALYSIS_PIPELINE_RULES_H_
@@ -22,7 +23,6 @@
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/crypto/prg.h"
-#include "src/poly/residue.h"
 
 namespace zaatar {
 
@@ -133,8 +133,9 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report) {
   }
 
   if (m > 0) {
-    // Any point outside {0..m} is a valid probe; m+1 is deterministic.
-    const F tau = F::FromUint(m + 1);
+    // Any point outside {0..2m+1} (the interpolation points and the h
+    // nodes) is a valid probe; 2m+2 is deterministic.
+    const F tau = F::FromUint(2 * m + 2);
     auto ev_or = qap.EvaluateAtTau(tau);
     if (!ev_or.ok()) {
       report->Add(Severity::kError, kRuleQapShape, loc,
@@ -161,42 +162,51 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report) {
                   "barycentric D(tau) disagrees with the materialized "
                   "divisor polynomial");
     }
-  }
 
-  // Residue-domain prover probes: the divisor check above validates the
-  // coefficient-form D(t), but ComputeH never touches it — the quotient
-  // comes from the cached Newton inverse of rev(D) in CRT evaluation form.
-  // Re-derive that cache's defining identity instead of trusting it.
-  if (m > 0 && d.Degree() == static_cast<long>(m)) {
-    const auto& ctx = qap.Prover();
-    // rev_m(D) · inv ≡ 1 (mod x^{m+1}): multiply through the very NTT
-    // images ComputeH uses for the quotient, then fold and compare.
-    ResiduePoly<F> rev_d = ToResidue(d.Reverse(m), m + 1, *ctx.basis, 1);
-    ResiduePoly<F> prod =
-        ResiduePoly<F>::MulImages(rev_d, ctx.inv_images, m + 1, 1);
-    std::vector<F> unit = prod.ToCoefficients(1);
-    bool is_unit = unit[0].IsOne();
-    for (size_t i = 1; i < unit.size() && is_unit; i++) {
-      is_unit = unit[i].IsZero();
+    // Prover probes: ComputeH never touches the coefficient-form D(t); it
+    // shifts values through cached NTT images and per-point scales.
+    // Re-derive the cache's defining identity instead of trusting it: the
+    // probe P(x) = (x + c)^m, shifted from its values at 0..m, must land on
+    // its values at m+1..2m+1, and those must meet the verifier's h row in
+    // P(tau). A random c catches any wrong shift map except with
+    // probability m/|F| (the vectors ((j + c)^m)_j span every value
+    // vector), and P takes O(log m) per point where Horner would take O(m).
+    Prg probe_prg(0x5eed);
+    const F c = probe_prg.NextField<F>();
+    auto probe = [&](const F& x) { return (x + c).Pow(m); };
+    std::vector<F> at_points(m + 1);
+    for (size_t j = 0; j <= m; j++) {
+      at_points[j] = probe(F::FromUint(j));
     }
-    if (!is_unit) {
+    std::vector<F> shifted = qap.ShiftToHNodes(std::move(at_points));
+    bool shift_ok = shifted.size() == m + 1;
+    for (size_t k = 0; shift_ok && k <= m; k++) {
+      shift_ok = shifted[k] == probe(F::FromUint(m + 1 + k));
+    }
+    if (!shift_ok) {
       report->Add(Severity::kError, kRuleQapShape, loc,
-                  "cached prover inverse is not rev(D)^{-1} mod x^{|C|+1}: "
-                  "residue-domain division would produce wrong quotients");
+                  "cached prover shift does not carry a degree-|C| "
+                  "polynomial's values at 0..|C| to its values at "
+                  "|C|+1..2|C|+1: ComputeH would produce wrong h values");
+    } else if (ev.h_row.size() != m + 1 ||
+               F::DotProduct(shifted.data(), ev.h_row.data(), m + 1) !=
+                   probe(tau)) {
+      report->Add(Severity::kError, kRuleQapShape, loc,
+                  "verifier h row is not the Lagrange basis over the "
+                  "prover's h nodes: honest proofs would be rejected");
     }
 
-    // Small systems get a full end-to-end differential: the residue
-    // pipeline must reproduce the frozen coefficient-form path bit for bit
-    // on an arbitrary (non-satisfying) assignment.
+    // Small systems get a full end-to-end differential: ComputeH must
+    // reproduce the frozen coefficient-form path bit for bit on an
+    // arbitrary (non-satisfying) assignment.
     if (m <= 256) {
-      Prg probe_prg(0x5eed);
       std::vector<F> w = probe_prg.NextFieldVector<F>(cs.layout.Total());
       auto fast = qap.ComputeH(w);
       auto slow = qap.ComputeHNaive(w);
       if (fast.h != slow.h || fast.exact != slow.exact) {
         report->Add(Severity::kError, kRuleQapShape, loc,
-                    "residue-pipeline ComputeH diverges from the "
-                    "coefficient-form reference on a probe assignment");
+                    "ComputeH diverges from the coefficient-form reference "
+                    "on a probe assignment");
       }
     }
   }

@@ -121,7 +121,8 @@ ComputationStats ComputeStats(const CompiledProgram<F>& program,
 // BuildProofVectors records its phases as "prover.solve" /
 // "prover.construct_proof" spans on the ambient tracer.
 
-// Zaatar backend: oracles are z and the QAP quotient h.
+// Zaatar backend: oracles are z and h, the QAP quotient H's values at the
+// h nodes.
 template <typename F>
 struct ZaatarHarnessBackend {
   using Adapter = ZaatarAdapter<F>;
@@ -130,8 +131,8 @@ struct ZaatarHarnessBackend {
   struct Prepared {
     explicit Prepared(const CompiledProgram<F>& program)
         : qap(program.zaatar.r1cs) {
-      // One-time prover setup (CRT basis, divisor-inverse NTT images,
-      // subproduct-tree residue images) happens here, outside the
+      // One-time prover setup (CRT basis, the shift kernel's NTT images,
+      // the per-point weights and scales) happens here, outside the
       // per-instance prover.construct_proof spans — it is amortized across
       // the batch exactly like the verifier's query setup.
       qap.WarmProver();

@@ -5,18 +5,26 @@
 // progression that enables the incremental barycentric weights of Appendix
 // A.3), plus the extra point 0 at which every A_i/B_i/C_i vanishes.
 //
-//   - Prover side: ComputeH interpolates A(t) = sum_i w_i A_i(t) (and B, C)
-//     from their evaluations at the points, forms P_w = A·B - C, and divides
-//     by D(t) = prod_j (t - sigma_j). Cost ~ 3·f·|C|·log²|C| via the
-//     subproduct-tree machinery in src/poly.
+// h's basis: the proof vector h holds H's values at the h nodes
+// m+1, .., 2m+1 (m = |C|) rather than its coefficients, the same linear
+// PCP up to a fixed change of basis of pi_h (DESIGN.md §15). This header
+// alone owns that basis — the prover's values and the verifier's row.
+//
+//   - Prover side: ComputeH evaluates A(t) = sum_i w_i A_i(t) (and B, C) at
+//     the points 0..m, shifts each to the h nodes with one middle product
+//     against cached NTT images (Bostan, Gaudry and Schost's shifting of
+//     evaluation points), and divides A·B − C by D(t) = prod_j (t - sigma_j)
+//     pointwise there. Cost ~ 3 products of length 2^ceil(log2(2|C|+1)).
 //   - Verifier side: EvaluateAtTau computes {A_i(tau)}, {B_i(tau)},
-//     {C_i(tau)} for all rows i (row 0 = constant term) and D(tau) with
-//     barycentric Lagrange evaluation, in O(|C| + nnz) field operations plus
-//     one batched inversion.
+//     {C_i(tau)} for all rows i (row 0 = constant term), D(tau), and the h
+//     row (L_0(tau), .., L_m(tau)) over the h nodes with barycentric
+//     Lagrange evaluation, in O(|C| + nnz) field operations plus one
+//     batched inversion.
 
 #ifndef SRC_CONSTRAINTS_QAP_H_
 #define SRC_CONSTRAINTS_QAP_H_
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +32,7 @@
 #include "src/constraints/r1cs.h"
 #include "src/obs/trace.h"
 #include "src/poly/algorithms.h"
+#include "src/poly/residue.h"
 #include "src/util/status.h"
 
 namespace zaatar {
@@ -44,30 +53,26 @@ class Qap {
   // ----- Prover -----
 
   struct HResult {
-    std::vector<F> h;  // |C|+1 coefficients of H(t), low degree first
-    bool exact;        // true iff D(t) divided P_w(t) exactly (i.e. the
-                       // assignment satisfies the constraints)
+    std::vector<F> h;  // H(m+1), .., H(2m+1): H at the h nodes
+    bool exact;        // true iff D(t) divides P_w(t) (i.e. the assignment
+                       // satisfies the constraints)
   };
 
-  // Computes the coefficients of H(t) = P_w(t) / D(t) for the given full
-  // assignment. For an unsatisfying assignment `exact` is false and `h` is
-  // the polynomial quotient (useful for building cheating provers in tests).
+  // H's values at the h nodes for the given full assignment, H = P_w / D.
+  // For an unsatisfying assignment `exact` is false and `h` holds
+  // P_w(x) / D(x) at the nodes (useful for building cheating provers in
+  // tests).
   //
-  // Runs the residue-domain pipeline (DESIGN.md §15): interpolate A, B, C in
-  // residue form over the subproduct tree's cached node images, form
-  // A·B − C with one renormalize, and divide by D(t) through the cached
-  // Newton inverse of rev(D) — only the top half of P_w feeds the quotient
-  // (rev_{2m}(P_w) ≡ rev_m(q)·rev_m(D) mod x^{m+1}, D monic). Exactness is
-  // read off the evaluations: D | P_w iff P_w vanishes at every point j,
-  // i.e. A(j)·B(j) = C(j) for j = 1..m — equivalent to the remainder test
-  // of ComputeHNaive, whose output this must match bit for bit (enforced by
-  // the differential suites in tests/qap_test.cc).
+  // A, B and C have degree <= m, so their values at 0..m fix them, and
+  // ShiftToHNodes carries each to m+1..2m+1. There D(m+1+k) = (m+k)!/k!, so
+  // H(m+1+k) = (A·B − C)(m+1+k) · k!/(m+k)!. Exactness is read off the
+  // values: D | P_w iff P_w vanishes at every point j, i.e.
+  // A(j)·B(j) = C(j) for j = 1..m. ComputeHNaive must agree bit for bit
+  // (the differential suites in tests/qap_test.cc).
   HResult ComputeH(const std::vector<F>& assignment) const {
     obs::Span span("qap.compute_h");
     const size_t m = Degree();
-    const SubproductTree<F>& tree = Tree();
     const ProverContext& ctx = Prover();
-    const size_t workers = PolyWorkers();
 
     std::vector<F> ea(m + 1, F::Zero()), eb(m + 1, F::Zero()),
         ec(m + 1, F::Zero());
@@ -86,38 +91,54 @@ class Qap {
       }
     }
 
-    ResiduePoly<F> ra, rb, rc;
+    std::vector<F> ha, hb, hc;  // A, B, C at the h nodes
     {
-      obs::Span interp("qap.interpolate");
-      ra = tree.InterpolateResidue(ea, *ctx.basis, workers);
-      rb = tree.InterpolateResidue(eb, *ctx.basis, workers);
-      rc = tree.InterpolateResidue(ec, *ctx.basis, workers);
+      obs::Span shift("qap.shift");
+      ha = ShiftToHNodes(std::move(ea));
+      hb = ShiftToHNodes(std::move(eb));
+      hc = ShiftToHNodes(std::move(ec));
     }
-    ResiduePoly<F> pw;
-    {
-      obs::Span mul("qap.mul");
-      pw = ResiduePoly<F>::Mul(ra, rb, workers);  // length 2m+1
-      pw = ResiduePoly<F>::Sub(pw, rc, workers);
-      pw.Renormalize(workers);
-    }
-    {
-      obs::Span divide("qap.divide");
-      ResiduePoly<F> hi = pw.Reverse(2 * m).Truncate(m + 1);
-      ResiduePoly<F> q_rev =
-          ResiduePoly<F>::MulImages(hi, ctx.inv_images, m + 1, workers);
-      std::vector<F> hv = q_rev.ToCoefficients(workers);
-      out.h.assign(m + 1, F::Zero());
-      for (size_t i = 0; i <= m; i++) {
-        out.h[i] = hv[m - i];
-      }
+    out.h.resize(m + 1);
+    for (size_t k = 0; k <= m; k++) {
+      out.h[k] = (ha[k] * hb[k] - hc[k]) * ctx.d_inv[k];
     }
     return out;
   }
 
+  // P(m+1), .., P(2m+1) for the polynomial P of degree <= m with
+  // P(j) = values[j], j = 0..m. With w_j = 1/prod_{k != j} (j - k) and
+  // g_i = 1/(i+1), the barycentric form at x = m+1+k reads
+  //   P(m+1+k) = (m+1+k)!/k! · sum_j P(j)·w_j·g_{m+k-j},
+  // coefficient m+k of the product (P(j)·w_j)_j · g. One cyclic product of
+  // length N = 2^ceil(log2(2m+1)) against g's cached images yields
+  // coefficients m..2m exactly: the linear product has 3m+1 coefficients,
+  // and its tail past N wraps onto indices below 3m+1-N <= m. ComputeH's
+  // only transform; public so the analyzer can probe the cache.
+  std::vector<F> ShiftToHNodes(std::vector<F> values) const {
+    const size_t m = Degree();
+    assert(values.size() == m + 1);
+    const ProverContext& ctx = Prover();
+    const size_t workers = PolyWorkers();
+    for (size_t j = 0; j <= m; j++) {
+      values[j] *= ctx.weights[j];
+    }
+    std::vector<F> shifted =
+        ResiduePoly<F>::MulImages(
+            ResiduePoly<F>::FromCoefficients(values.data(), m + 1,
+                                             *ctx.basis, workers),
+            ctx.g_images, m, m + 1, workers)
+            .ToCoefficients(workers);
+    for (size_t k = 0; k <= m; k++) {
+      shifted[k] *= ctx.scale[k];
+    }
+    return shifted;
+  }
+
   // The frozen coefficient-form pipeline ComputeH replaced: interpolate with
-  // Polynomial products, divide with DivRem, read exactness off the
-  // remainder. Kept verbatim as the cross-PR differential yardstick — the
-  // residue path must reproduce its output bit for bit.
+  // Polynomial products, divide with DivRem and read exactness off the
+  // remainder, then evaluate P_w and D at the h nodes by Horner and divide.
+  // Kept as the differential yardstick — ComputeH must reproduce its output
+  // bit for bit, on any assignment.
   HResult ComputeHNaive(const std::vector<F>& assignment) const {
     obs::Span span("qap.compute_h_naive");
     const size_t m = Degree();
@@ -138,56 +159,22 @@ class Qap {
 
     // D(t) = Root()/t since the point set is {0, 1, .., m}.
     Polynomial<F> d = tree.Root().ShiftDown(1);
-    auto [q, r] = DivRem(pw, d);
 
     HResult out;
-    out.exact = r.IsZero();
-    out.h.assign(m + 1, F::Zero());
-    for (size_t i = 0; i < q.CoefficientCount() && i <= m; i++) {
-      out.h[i] = q[i];
+    out.exact = DivRem(pw, d).remainder.IsZero();
+    out.h.resize(m + 1);
+    for (size_t k = 0; k <= m; k++) {
+      const F x = F::FromUint(m + 1 + k);
+      out.h[k] = pw.Evaluate(x) * d.Evaluate(x).Inverse();
     }
     return out;
   }
 
-  // Precomputed residue-domain prover state: the CRT basis sized for the
-  // whole pipeline's bound growth and the forward images of
-  // NewtonInverse(rev_m(D), m+1) at the product transform size. Built once
-  // per Qap and reused across every instance of a batch. Public so the
-  // static analyzer can probe the rewritten division path
-  // (src/analysis/pipeline_rules.h).
-  struct ProverContext {
-    const CrtBasis<F>* basis = nullptr;
-    NttImages inv_images;
-  };
-
-  const ProverContext& Prover() const {
-    if (prover_ == nullptr) {
-      const size_t m = Degree();
-      const size_t workers = PolyWorkers();
-      auto ctx = std::make_unique<ProverContext>();
-      // Bound headroom over the plain product bound 2B + log: +2 for the
-      // padded subtraction in A·B − C, +2 for Newton's 2 − f·g step.
-      size_t bound = 2 * F::kModulusBits + CeilLog2(2 * m + 1) + 4;
-      ctx->basis = &CrtBasis<F>::Get(CrtBasisSizeForBound(bound));
-      ResiduePoly<F> rev_d =
-          ToResidue(Divisor().Reverse(m), m + 1, *ctx->basis, workers);
-      ResiduePoly<F> inv = ResidueNewtonInverse(rev_d, m + 1, workers);
-      ctx->inv_images = inv.ForwardImages(CeilLog2(2 * m + 1), workers);
-      prover_ = std::move(ctx);
-    }
-    return *prover_;
-  }
-
-  // Builds every lazily-cached prover artifact — subproduct tree,
-  // interpolation weights, divisor inverse images, tree node images — so
-  // batch pipelines pay the one-time setup outside the per-instance loop
-  // (and outside the per-instance ParallelFor, keeping the lazy caches
+  // Builds the prover's per-Qap context (ProverContext below), so batch
+  // pipelines pay the one-time setup outside the per-instance loop (and
+  // outside the per-instance ParallelFor, keeping the lazy cache
   // single-threaded).
-  void WarmProver() const {
-    const ProverContext& ctx = Prover();
-    Tree().InterpolationWeights();
-    Tree().WarmResidueImages(*ctx.basis, PolyWorkers());
-  }
+  void WarmProver() const { Prover(); }
 
   // ----- Verifier -----
 
@@ -197,34 +184,45 @@ class Qap {
     std::vector<F> b_rows;
     std::vector<F> c_rows;
     F d_tau;
+    // L_k(tau), k = 0..m: the Lagrange basis over the h nodes m+1..2m+1,
+    // so <h, h_row> = H(tau) for ComputeH's h. The verifier's q_d.
+    std::vector<F> h_row;
   };
 
-  // Requires tau outside the interpolation set {0, 1, ..., |C|}: a
-  // colliding tau would batch-invert a zero and poison every barycentric
-  // weight, so it is rejected with a typed error instead (callers resample;
-  // the collision probability for a uniform tau is (|C|+1)/|F|).
+  // Requires tau outside {0, 1, ..., 2|C|+1}, the interpolation points and
+  // the h nodes: a colliding tau would batch-invert a zero and poison every
+  // barycentric weight, so it is rejected with a typed error instead
+  // (callers resample; the collision probability for a uniform tau is
+  // (2|C|+2)/|F|).
   StatusOr<Evaluation> EvaluateAtTau(const F& tau) const {
     obs::Span span("qap.evaluate_at_tau");
     const size_t m = Degree();
     const size_t rows = cs_->NumVariables() + 1;
 
-    // Barycentric pieces over points 0..m:
-    //   ell(tau) = prod_k (tau - k)
-    //   1/v_j    = prod_{k != j} (j - k), built incrementally:
-    //              1/v_{j+1} = 1/v_j · (j+1) / (j - m)
-    //   c_j      = ell(tau) · v_j / (tau - j)
-    // We batch-invert the products (1/v_j)·(tau - j) to get all c_j with a
-    // single field inversion.
-    std::vector<F> diff(m + 1);
+    // Barycentric pieces over points 0..m and over the h nodes m+1..2m+1:
+    //   ell(tau)   = prod_{k=0..m} (tau - k)
+    //   ell_h(tau) = prod_{k=0..m} (tau - (m+1+k))
+    //   1/v_j      = prod_{k != j} (j - k), built incrementally:
+    //                1/v_{j+1} = 1/v_j · (j+1) / (j - m)
+    //   c_j        = ell(tau) · v_j / (tau - j)
+    //   L_j(tau)   = ell_h(tau) · v_j / (tau - (m+1+j))
+    // The v_j serve both node sets, since translating every node by m+1
+    // leaves each difference j - k unchanged. We batch-invert the products
+    // (1/v_j)·(tau - node) to get every c_j and L_j(tau) with a single
+    // field inversion.
+    std::vector<F> diff(2 * m + 2);
     F ell = F::One();
-    for (size_t k = 0; k <= m; k++) {
+    F ell_h = F::One();
+    for (size_t k = 0; k < diff.size(); k++) {
       diff[k] = tau - F::FromUint(k);
       if (diff[k].IsZero()) {
         return OutOfRangeError(
-            "tau collides with interpolation point " + std::to_string(k) +
-            " of the QAP point set {0.." + std::to_string(m) + "}");
+            "tau collides with point " + std::to_string(k) +
+            " of the QAP's interpolation points {0.." + std::to_string(m) +
+            "} and h nodes {" + std::to_string(m + 1) + ".." +
+            std::to_string(2 * m + 1) + "}");
       }
-      ell *= diff[k];
+      (k <= m ? ell : ell_h) *= diff[k];
     }
 
     // inverses of 1..m for the incremental weight recurrence
@@ -234,28 +232,31 @@ class Qap {
     }
     BatchInvert(small_inv.data() + 1, m);
 
-    // Slot m+1 carries diff[0] so D(tau)'s inversion rides the same batch
+    // Slot 2m+2 carries diff[0] so D(tau)'s inversion rides the same batch
     // instead of paying its own Fermat walk below.
-    std::vector<F> denom(m + 2);  // (1/v_j)·(tau - j)
-    F iv = F::One();              // 1/v_0 = (-1)^m · m!
+    std::vector<F> denom(2 * m + 3);  // (1/v_j)·(tau - node)
+    F iv = F::One();                  // 1/v_0 = (-1)^m · m!
     for (size_t k = 1; k <= m; k++) {
       iv *= -F::FromUint(k);
     }
     for (size_t j = 0; j <= m; j++) {
       denom[j] = iv * diff[j];
+      denom[m + 1 + j] = iv * diff[m + 1 + j];
       if (j < m) {
         // 1/v_{j+1} = 1/v_j · (j+1) / (j - m) = -1/v_j · (j+1) · inv(m-j)
         iv = -(iv * F::FromUint(j + 1) * small_inv[m - j]);
       }
     }
-    denom[m + 1] = diff[0];
-    BatchInvert(denom.data(), m + 2);
+    denom[2 * m + 2] = diff[0];
+    BatchInvert(denom.data(), denom.size());
     std::vector<F> cj(m + 1);
+    Evaluation ev;
+    ev.h_row.resize(m + 1);
     for (size_t j = 0; j <= m; j++) {
       cj[j] = ell * denom[j];
+      ev.h_row[j] = ell_h * denom[m + 1 + j];
     }
 
-    Evaluation ev;
     ev.a_rows.assign(rows, F::Zero());
     ev.b_rows.assign(rows, F::Zero());
     ev.c_rows.assign(rows, F::Zero());
@@ -268,11 +269,61 @@ class Qap {
       Accumulate(c.c, w, &ev.c_rows);
     }
     // D(tau) = ell(tau) / (tau - 0), with 1/(tau - 0) from the batch above.
-    ev.d_tau = ell * denom[m + 1];
+    ev.d_tau = ell * denom[2 * m + 2];
     return ev;
   }
 
  private:
+  // The prover's per-Qap state, built once and reused across every instance
+  // of a batch: the CRT basis for the shift's product bound
+  // 2·bits(p) + ceil(log2(m+1)) (m+1 terms, each a product of two canonical
+  // values), the forward images of g_i = 1/(i+1), i = 0..2m, at
+  // N = 2^ceil(log2(2m+1)), and the per-point scales.
+  struct ProverContext {
+    const CrtBasis<F>* basis = nullptr;
+    NttImages g_images;
+    std::vector<F> weights;  // w_j = 1/prod_{k != j} (j - k), j = 0..m
+    std::vector<F> scale;    // (m+1+k)!/k! = prod_{j=0..m} (m+1+k - j)
+    std::vector<F> d_inv;    // k!/(m+k)! = 1/D(m+1+k)
+  };
+
+  const ProverContext& Prover() const {
+    if (prover_ == nullptr) {
+      const size_t m = Degree();
+      const size_t workers = PolyWorkers();
+      auto ctx = std::make_unique<ProverContext>();
+      ctx->basis = &CrtBasis<F>::Get(
+          CrtBasisSizeForBound(2 * F::kModulusBits + CeilLog2(m + 1)));
+      // fact[i] = i! and inv_fact[i] = 1/i! for i = 0..2m+1.
+      std::vector<F> fact(2 * m + 2), inv_fact(2 * m + 2);
+      fact[0] = F::One();
+      for (size_t i = 1; i < fact.size(); i++) {
+        fact[i] = fact[i - 1] * F::FromUint(i);
+      }
+      inv_fact.back() = fact.back().Inverse();
+      for (size_t i = fact.size() - 1; i > 0; i--) {
+        inv_fact[i - 1] = inv_fact[i] * F::FromUint(i);
+      }
+      std::vector<F> g(2 * m + 1);
+      for (size_t i = 0; i < g.size(); i++) {
+        g[i] = fact[i] * inv_fact[i + 1];
+      }
+      ctx->g_images =
+          ResiduePoly<F>::FromCoefficients(g.data(), g.size(), *ctx->basis,
+                                           workers)
+              .ForwardImages(CeilLog2(2 * m + 1), workers);
+      ctx->weights = ConsecutivePointWeights<F>(m + 1);
+      ctx->scale.resize(m + 1);
+      ctx->d_inv.resize(m + 1);
+      for (size_t k = 0; k <= m; k++) {
+        ctx->scale[k] = fact[m + 1 + k] * inv_fact[k];
+        ctx->d_inv[k] = fact[k] * inv_fact[m + k];
+      }
+      prover_ = std::move(ctx);
+    }
+    return *prover_;
+  }
+
   static void Accumulate(const LinearCombination<F>& lc, const F& w,
                          std::vector<F>* rows) {
     (*rows)[0] += lc.constant() * w;

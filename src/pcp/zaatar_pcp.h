@@ -1,13 +1,15 @@
 // Zaatar's QAP-based linear PCP (paper Figure 10 / Appendix A).
 //
 // Proof oracles: pi_z (the satisfying assignment restricted to the unbound
-// variables, length n') and pi_h (the coefficients of H(t) = P_w(t)/D(t),
-// length |C|+1).
+// variables, length n') and pi_h (H(t) = P_w(t)/D(t) as its values at the h
+// nodes |C|+1, .., 2|C|+1, length |C|+1 — the paper's coefficient vector up
+// to a fixed change of basis, DESIGN.md §15).
 //
 // Per repetition the verifier issues rho_lin linearity triples to each
 // oracle, then divisibility-correction queries q_a, q_b, q_c (to pi_z) and
-// q_d = (1, tau, .., tau^|C|) (to pi_h), each blinded by the first linearity
-// query of the corresponding oracle (self-correction). The decision check is
+// q_d = (L_0(tau), .., L_|C|(tau)), the Lagrange basis over the h nodes at
+// tau (to pi_h), each blinded by the first linearity query of the
+// corresponding oracle (self-correction). The decision check is
 //     D(tau) · (pi(q4) - pi(q8)) = A_tau · B_tau - C_tau
 // with A_tau = pi(q1) - pi(q5) + sum_{bound i} w_i A_i(tau) + A_0(tau), etc.
 
@@ -32,19 +34,17 @@ namespace zaatar {
 template <typename F>
 struct ZaatarProof {
   std::vector<F> z;  // length n'
-  std::vector<F> h;  // length |C|+1
+  std::vector<F> h;  // length |C|+1: H at the h nodes (Qap::HResult)
 };
 
 // Builds (z, h) from a full assignment (Z then X then Y). For a satisfying
 // assignment the result is a valid proof; for any other assignment it is the
-// "best-effort cheat" (H is the polynomial quotient), which the PCP rejects
+// "best-effort cheat" (h holds P_w/D at the h nodes), which the PCP rejects
 // with high probability — tests rely on this.
 //
-// ComputeH runs the residue-domain NTT pipeline (src/poly/residue.h): the
-// quotient is produced without leaving CRT evaluation form between
-// interpolation and division, and is bit-identical to the frozen
-// coefficient-form path (Qap::ComputeHNaive) — including the non-exact
-// cheating case, where both return the truncated polynomial quotient.
+// ComputeH shifts evaluations through cached NTT images
+// (src/poly/residue.h) and is bit-identical to the frozen coefficient-form
+// path (Qap::ComputeHNaive) on every assignment, satisfying or not.
 template <typename F>
 ZaatarProof<F> BuildZaatarProof(const Qap<F>& qap,
                                 const std::vector<F>& assignment) {
@@ -112,14 +112,15 @@ class ZaatarPcp {
       r.blind_z = r.lin_z[0].i0;
       r.blind_h = r.lin_h[0].i0;
 
-      // Divisibility-correction queries at a fresh tau outside {0..m}.
-      // SampleTau already rejects the interpolation set, but EvaluateAtTau
-      // reports a collision as a typed error, so resample on it rather than
-      // trusting the two range conventions to stay in sync.
-      F tau = SampleTau(m, prg);
+      // Divisibility-correction queries at a fresh tau outside {0..2m+1},
+      // the interpolation points and the h nodes. SampleTau already rejects
+      // that set, but EvaluateAtTau reports a collision as a typed error, so
+      // resample on it rather than trusting the two range conventions to
+      // stay in sync.
+      F tau = SampleTau(2 * m + 1, prg);
       auto ev_or = qap.EvaluateAtTau(tau);
       while (!ev_or.ok()) {
-        tau = SampleTau(m, prg);
+        tau = SampleTau(2 * m + 1, prg);
         ev_or = qap.EvaluateAtTau(tau);
       }
       const auto& ev = *ev_or;
@@ -148,14 +149,8 @@ class ZaatarPcp {
       r.b_bound = slice_bound(ev.b_rows);
       r.c_bound = slice_bound(ev.c_rows);
 
-      // q_d = (1, tau, .., tau^m), blinded.
-      std::vector<F> qd(m + 1);
-      F pw = F::One();
-      for (size_t i = 0; i <= m; i++) {
-        qd[i] = pw;
-        pw *= tau;
-      }
-      r.qd = PushBlinded(&out.h_queries, qd, out.h_queries[r.blind_h]);
+      // q_d = (L_0(tau), .., L_m(tau)), blinded.
+      r.qd = PushBlinded(&out.h_queries, ev.h_row, out.h_queries[r.blind_h]);
 
       out.reps.push_back(std::move(r));
     }
@@ -249,9 +244,10 @@ class ZaatarPcp {
     return idx;
   }
 
-  static F SampleTau(size_t degree, Prg& prg) {
+  // A uniform tau above `last_point` (as a canonical integer).
+  static F SampleTau(size_t last_point, Prg& prg) {
     using Repr = typename F::Repr;
-    const Repr limit(static_cast<uint64_t>(degree));
+    const Repr limit(static_cast<uint64_t>(last_point));
     for (;;) {
       F tau = prg.NextField<F>();
       if (tau.ToCanonical() > limit) {

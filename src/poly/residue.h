@@ -1,10 +1,9 @@
-// Residue-domain (CRT/NTT evaluation form) polynomials: the prover-side
-// representation that keeps the whole ComputeH pipeline inside the 62-bit
-// NTT prime basis. Coefficients are exact non-negative integers v < 2^bound,
-// stored as Montgomery-form residues v mod q_i per prime; because integer
-// ring arithmetic commutes with reduction mod p, the fold into the target
-// field F happens once at output instead of once per multiply (the old
-// MulCrt contract). See DESIGN.md §15 for the representation contract.
+// Residue-domain (CRT/NTT evaluation form) polynomials: products of
+// polynomials over the non-FFT-friendly fields F128/F220 through the 62-bit
+// NTT prime basis. Coefficients are exact non-negative integers
+// v < 2^bound, stored as Montgomery-form residues v mod q_i per prime;
+// because integer ring arithmetic commutes with reduction mod p, the fold
+// into the target field F happens once at output. See DESIGN.md §15.
 //
 // Two pieces live here:
 //   - CrtBasis<F>: per-(field, k) precomputed constants — double-Montgomery
@@ -12,14 +11,16 @@
 //     float-corrected CRT fold (t_i = x_i·(Q/q_i)^{-1} mod q_i, then
 //     v ≡ Σ t_i·(Q/q_i) − αQ with α recovered from Σ t_i/q_i in doubles),
 //     replacing the O(k²) Garner reconstruction.
-//   - ResiduePoly<F>: per-prime evaluation vectors with an integer
-//     coefficient bound tracked in bits. Mul/Add/Sub/Truncate/Reverse stay
-//     in residue form; Renormalize folds to F and re-reduces when bounds
-//     approach the basis capacity (62k−1 bits — one guard bit under Q so
-//     the float α-correction cannot straddle an integer).
+//   - ResiduePoly<F>: per-prime coefficient vectors with an integer
+//     coefficient bound tracked in bits, ingested once, multiplied
+//     (directly, or against cached forward images of a fixed operand), and
+//     folded once. The bound must stay within the basis capacity (62k−1
+//     bits — one guard bit under Q so the float α-correction cannot
+//     straddle an integer).
 //
-// Subtraction keeps values non-negative by adding a multiple of p
-// (M = p·2^s ≥ 2^bound_b, free modulo p), so the fold never needs a sign.
+// Two callers: MulCrt (src/poly/crt_mul.h), behind Polynomial::operator*,
+// and Qap::ComputeH, whose shift to the h nodes is one offset product per
+// polynomial against the cached images of (1, 1/2, .., 1/(2m+1)).
 
 #ifndef SRC_POLY_RESIDUE_H_
 #define SRC_POLY_RESIDUE_H_
@@ -118,15 +119,6 @@ class CrtBasis {
     return acc - alpha_q_[alpha];
   }
 
-  // Montgomery-form residues of p·2^s (a multiple of p covering 2^bound for
-  // non-negative subtraction; s small, so the per-call Pow is negligible).
-  void PadResidues(size_t s, uint64_t* out) const {
-    for (size_t pi = 0; pi < k_; pi++) {
-      const MontField64& f = fields_[pi];
-      out[pi] = f.Mul(p_mont_[pi], f.Pow(two_mont_[pi], s));
-    }
-  }
-
   static const CrtBasis& Get(size_t k) {
     static std::vector<CrtBasis> cache = [] {
       std::vector<CrtBasis> all(kNumNttPrimes + 1);
@@ -147,8 +139,6 @@ class CrtBasis {
     fold_c_.resize(k);
     m_mod_p_.resize(k);
     inv_q_.resize(k);
-    p_mont_.resize(k);
-    two_mont_.resize(k);
     alpha_q_.resize(k + 1);
 
     F q_prod = F::One();  // Q mod p
@@ -187,15 +177,6 @@ class CrtBasis {
       fold_c_[pi] = f.FromMont(f.Inverse(others));
       m_mod_p_[pi] = m_p;
       inv_q_[pi] = 1.0 / static_cast<double>(kNttPrimes[pi]);
-
-      // Mont(p mod q_i) via the limb bases, and Mont(2) for pad powers.
-      const auto& mod = F::kModulus;
-      uint64_t acc = 0;
-      for (size_t j = 0; j < F::kLimbs; j++) {
-        acc = f.Add(acc, f.Mul(mod.limbs[j], limb_r2_[pi][j]));
-      }
-      p_mont_[pi] = acc;
-      two_mont_[pi] = f.ToMont(2);
     }
   }
 
@@ -206,35 +187,28 @@ class CrtBasis {
   std::vector<F> m_mod_p_;
   std::vector<F> alpha_q_;  // alpha_q[a] = a·Q mod p
   std::vector<double> inv_q_;
-  std::vector<uint64_t> p_mont_;
-  std::vector<uint64_t> two_mont_;
 };
 
 // Forward NTT images of a fixed residue polynomial at one transform size,
-// cached so repeated products against the same operand (subproduct-tree
-// nodes, the divisor inverse) pay one forward transform total.
+// cached so repeated products against the same operand (the QAP prover's
+// shift kernel) pay one forward transform total.
 struct NttImages {
   size_t log_n = 0;
   size_t src_len = 0;
   size_t src_bound_bits = 0;
   std::vector<std::vector<uint64_t>> img;  // [prime][2^log_n], Mont form
-
-  bool empty() const { return img.empty(); }
 };
 
 // A dense polynomial in residue form: fixed explicit length (high
 // coefficients may be zero — no trimming, so shapes stay uniform across a
 // batch), per-prime Montgomery residue vectors, and the integer coefficient
-// bound in bits. All operations are exact over the integers as long as
-// bounds stay within basis capacity (asserted).
+// bound in bits. Products are exact over the integers as long as bounds
+// stay within basis capacity (asserted).
 template <typename F>
 class ResiduePoly {
  public:
   ResiduePoly() = default;
 
-  size_t length() const { return len_; }
-  size_t bound_bits() const { return bound_bits_; }
-  const CrtBasis<F>& basis() const { return *basis_; }
   bool IsCanonical() const { return bound_bits_ <= F::kModulusBits; }
   const std::vector<uint64_t>& Residues(size_t pi) const { return r_[pi]; }
 
@@ -271,130 +245,7 @@ class ResiduePoly {
     return out;
   }
 
-  F Coefficient(size_t i) const {
-    assert(i < len_ && bound_bits_ <= basis_->capacity_bits());
-    uint64_t res[kNumNttPrimes];
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      res[pi] = r_[pi][i];
-    }
-    return basis_->Fold(res, 1);
-  }
-
-  // Folds to F and re-reduces in place, restoring canonical bounds. Called
-  // between pipeline stages when the next product would overflow capacity.
-  void Renormalize(size_t workers) {
-    if (IsCanonical()) {
-      return;
-    }
-    assert(bound_bits_ <= basis_->capacity_bits());
-    size_t k = basis_->k();
-    ChunkedFor(len_, workers, [&](size_t i) {
-      uint64_t res[kNumNttPrimes];
-      for (size_t pi = 0; pi < k; pi++) {
-        res[pi] = r_[pi][i];
-      }
-      typename F::Repr rep = basis_->Fold(res, 1).ToCanonical();
-      basis_->ReduceLimbs(rep.limbs.data(), F::kLimbs, res);
-      for (size_t pi = 0; pi < k; pi++) {
-        r_[pi][i] = res[pi];
-      }
-    });
-    bound_bits_ = F::kModulusBits;
-  }
-
-  // ----- shape operations (length-preserving semantics, no trimming) -----
-
-  // The first `count` coefficients; pads with zeros if count > length.
-  ResiduePoly Truncate(size_t count) const {
-    ResiduePoly out = Make(*basis_, count, bound_bits_);
-    size_t copy = std::min(count, len_);
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      std::copy(r_[pi].begin(), r_[pi].begin() + copy, out.r_[pi].begin());
-    }
-    return out;
-  }
-
-  // rev_k(f) = x^k f(1/x): out[j] = coeff(k - j). Requires len <= k + 1.
-  ResiduePoly Reverse(size_t k) const {
-    assert(len_ <= k + 1);
-    ResiduePoly out = Make(*basis_, k + 1, bound_bits_);
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      for (size_t i = 0; i < len_; i++) {
-        out.r_[pi][k - i] = r_[pi][i];
-      }
-    }
-    return out;
-  }
-
-  // Zero/degree tests require canonical bounds: after a padded subtraction
-  // the residues carry multiples of p that vanish mod p but not mod Q.
-  bool IsZero() const {
-    assert(IsCanonical());
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      for (uint64_t v : r_[pi]) {
-        if (v != 0) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  long Degree() const {
-    assert(IsCanonical());
-    for (size_t i = len_; i-- > 0;) {
-      for (size_t pi = 0; pi < basis_->k(); pi++) {
-        if (r_[pi][i] != 0) {
-          return static_cast<long>(i);
-        }
-      }
-    }
-    return -1;
-  }
-
   // ----- arithmetic -----
-
-  static ResiduePoly Add(const ResiduePoly& a, const ResiduePoly& b,
-                         size_t workers) {
-    assert(a.basis_ == b.basis_);
-    size_t out_len = std::max(a.len_, b.len_);
-    ResiduePoly out =
-        Make(*a.basis_, out_len, std::max(a.bound_bits_, b.bound_bits_) + 1);
-    assert(out.bound_bits_ <= a.basis_->capacity_bits());
-    ParallelFor(a.basis_->k(), workers, [&](size_t pi) {
-      const MontField64& f = a.basis_->field(pi);
-      for (size_t i = 0; i < out_len; i++) {
-        uint64_t av = i < a.len_ ? a.r_[pi][i] : 0;
-        uint64_t bv = i < b.len_ ? b.r_[pi][i] : 0;
-        out.r_[pi][i] = f.Add(av, bv);
-      }
-    });
-    return out;
-  }
-
-  // a - b, kept non-negative by adding M = p·2^s >= 2^bound(b) to every
-  // coefficient (M ≡ 0 mod p, so the folded value is unchanged).
-  static ResiduePoly Sub(const ResiduePoly& a, const ResiduePoly& b,
-                         size_t workers) {
-    assert(a.basis_ == b.basis_);
-    const CrtBasis<F>& basis = *a.basis_;
-    size_t s = b.bound_bits_ - std::min(b.bound_bits_, F::kModulusBits) + 1;
-    size_t out_len = std::max(a.len_, b.len_);
-    size_t bound = std::max(a.bound_bits_, b.bound_bits_ + 1) + 1;
-    assert(bound <= basis.capacity_bits());
-    uint64_t pad[kNumNttPrimes];
-    basis.PadResidues(s, pad);
-    ResiduePoly out = Make(basis, out_len, bound);
-    ParallelFor(basis.k(), workers, [&](size_t pi) {
-      const MontField64& f = basis.field(pi);
-      for (size_t i = 0; i < out_len; i++) {
-        uint64_t av = i < a.len_ ? a.r_[pi][i] : 0;
-        uint64_t bv = i < b.len_ ? b.r_[pi][i] : 0;
-        out.r_[pi][i] = f.Sub(f.Add(av, pad[pi]), bv);
-      }
-    });
-    return out;
-  }
 
   static ResiduePoly Mul(const ResiduePoly& a, const ResiduePoly& b,
                          size_t workers) {
@@ -444,14 +295,19 @@ class ResiduePoly {
     return im;
   }
 
-  // a ⊛ img, keeping the low out_len coefficients of the full product (the
-  // transform size must cover the full product so no cyclic wrap occurs).
+  // Coefficients [offset, offset + out_len) of the cyclic product a ⊛ img
+  // at the images' transform size n. The linear product's tail past n
+  // wraps onto indices below the product length minus n, so the window is
+  // exact when that wrapped tail lands below `offset` (asserted); offset 0
+  // asks for a transform that covers the whole product.
   static ResiduePoly MulImages(const ResiduePoly& a, const NttImages& bimg,
-                               size_t out_len, size_t workers) {
+                               size_t offset, size_t out_len,
+                               size_t workers) {
     const CrtBasis<F>& basis = *a.basis_;
     size_t log_n = bimg.log_n;
     size_t n = size_t{1} << log_n;
-    assert(a.len_ + bimg.src_len - 1 <= n && out_len <= n);
+    assert(a.len_ + bimg.src_len - 1 <= n + offset &&
+           offset + out_len <= n);
     size_t bound = a.bound_bits_ + bimg.src_bound_bits +
                    CeilLog2(std::min(a.len_, bimg.src_len));
     assert(bound <= basis.capacity_bits());
@@ -469,47 +325,8 @@ class ResiduePoly {
         fa[i] = f.Mul(fa[i], bi[i]);
       }
       NttInverse(pi, fa.data(), log_n);
-      std::copy(fa.begin(), fa.begin() + out_len, out.r_[pi].begin());
-    });
-    return out;
-  }
-
-  // u ⊛ ximg + v ⊛ yimg with a single inverse transform per prime — the
-  // subproduct-tree combine step (parent = left·m_right + right·m_left).
-  static ResiduePoly FusedMulAdd(const ResiduePoly& u, const NttImages& ximg,
-                                 const ResiduePoly& v, const NttImages& yimg,
-                                 size_t out_len, size_t workers) {
-    assert(u.basis_ == v.basis_ && ximg.log_n == yimg.log_n);
-    const CrtBasis<F>& basis = *u.basis_;
-    size_t log_n = ximg.log_n;
-    size_t n = size_t{1} << log_n;
-    assert(u.len_ + ximg.src_len - 1 <= n);
-    assert(v.len_ + yimg.src_len - 1 <= n);
-    assert(out_len <= n);
-    size_t bound_ux = u.bound_bits_ + ximg.src_bound_bits +
-                      CeilLog2(std::min(u.len_, ximg.src_len));
-    size_t bound_vy = v.bound_bits_ + yimg.src_bound_bits +
-                      CeilLog2(std::min(v.len_, yimg.src_len));
-    size_t bound = std::max(bound_ux, bound_vy) + 1;
-    assert(bound <= basis.capacity_bits());
-    ResiduePoly out = Make(basis, out_len, bound);
-    obs::MetricAdd("ntt.forward", 2 * basis.k());
-    obs::MetricAdd("ntt.inverse", basis.k());
-    obs::MetricObserve("ntt.points", n);
-    ParallelFor(basis.k(), workers, [&](size_t pi) {
-      const MontField64& f = basis.field(pi);
-      std::vector<uint64_t> fu(n, 0), fv(n, 0);
-      std::copy(u.r_[pi].begin(), u.r_[pi].end(), fu.begin());
-      std::copy(v.r_[pi].begin(), v.r_[pi].end(), fv.begin());
-      NttForward(pi, fu.data(), log_n);
-      NttForward(pi, fv.data(), log_n);
-      const uint64_t* xi = ximg.img[pi].data();
-      const uint64_t* yi = yimg.img[pi].data();
-      for (size_t i = 0; i < n; i++) {
-        fu[i] = f.Add(f.Mul(fu[i], xi[i]), f.Mul(fv[i], yi[i]));
-      }
-      NttInverse(pi, fu.data(), log_n);
-      std::copy(fu.begin(), fu.begin() + out_len, out.r_[pi].begin());
+      std::copy(fa.begin() + offset, fa.begin() + offset + out_len,
+                out.r_[pi].begin());
     });
     return out;
   }

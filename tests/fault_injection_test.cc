@@ -340,6 +340,16 @@ TEST(FaultInjectionTest, VerdictTaxonomyDistinguishesLayers) {
             VerifyVerdict::kRejectPcp);
 }
 
+// An honest z committed beside an h in another basis — H's coefficients, or
+// its values one node off — passes the commitment check and fails the PCP.
+TEST(FaultInjectionTest, HInAnotherBasisIsRejectPcp) {
+  FaultFixture f(414);
+  for (const std::vector<F>& h : HInOtherBases(f.proof.h)) {
+    auto frame = ProveFrame<F>(f.setup_frame, {&f.proof.z, &h});
+    EXPECT_EQ(f.Verify(frame).verdict, VerifyVerdict::kRejectPcp);
+  }
+}
+
 // One hostile instance in a batch is isolated by HandleProof: the other
 // beta-1 verdicts are unaffected and the session keeps deciding.
 TEST(FaultInjectionTest, BatchIsolatesBadInstances) {

@@ -4,6 +4,7 @@
 
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
+#include "src/poly/algorithms.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
@@ -35,7 +36,7 @@ TEST(QapTest, HDividesExactlyForSatisfyingAssignment) {
   EXPECT_TRUE(hr.exact);
   EXPECT_EQ(hr.h.size(), qap.Degree() + 1);
   // H(0) = 0 because P_w vanishes at the extra interpolation point 0.
-  EXPECT_TRUE(hr.h[0].IsZero());
+  EXPECT_TRUE(PolynomialThroughHNodes(hr.h).Evaluate(F::Zero()).IsZero());
 }
 
 TEST(QapTest, HDoesNotDivideForBadAssignment) {
@@ -66,10 +67,8 @@ TEST(QapTest, DivisibilityIdentityAtRandomPoints) {
     ASSERT_TRUE(ev_or.ok()) << ev_or.status().ToString();
     const auto& ev = *ev_or;
     F h_tau = F::Zero();
-    F pw = F::One();
-    for (const F& hc : hr.h) {
-      h_tau += hc * pw;
-      pw *= tau;
+    for (size_t k = 0; k < hr.h.size(); k++) {
+      h_tau += hr.h[k] * ev.h_row[k];
     }
     F a = ev.a_rows[0], b = ev.b_rows[0], c = ev.c_rows[0];
     for (size_t i = 0; i < f.witness.size(); i++) {
@@ -152,27 +151,69 @@ TEST(QapTest, SingleConstraintSystem) {
 }
 
 // Regression for the NDEBUG-unsafe assert this used to be: evaluating at a
-// point inside the interpolation set {0..m} must come back as a typed
-// kOutOfRange error, not a release-mode division by zero in the barycentric
-// weights. (GenerateQueries resamples tau on this error.)
+// point inside the interpolation set {0..m} or at an h node m+1..2m+1 must
+// come back as a typed kOutOfRange error, not a release-mode division by
+// zero in the barycentric weights. (GenerateQueries resamples tau on this
+// error.)
 TEST(QapTest, EvaluateAtTauRejectsInterpolationPoints) {
   Prg prg(76);
   auto f = QapFixture::Make(prg, 4, 7);
   Qap<F> qap(f.transform.r1cs);
-  for (size_t k = 0; k <= qap.Degree(); k++) {
+  for (size_t k = 0; k <= 2 * qap.Degree() + 1; k++) {
     auto ev_or = qap.EvaluateAtTau(F::FromUint(k));
-    ASSERT_FALSE(ev_or.ok()) << "tau = " << k << " is an interpolation point";
+    ASSERT_FALSE(ev_or.ok()) << "tau = " << k << " is a point or an h node";
     EXPECT_EQ(ev_or.status().code(), StatusCode::kOutOfRange);
   }
   // The first point outside the set is fine.
-  EXPECT_TRUE(qap.EvaluateAtTau(F::FromUint(qap.Degree() + 1)).ok());
+  EXPECT_TRUE(qap.EvaluateAtTau(F::FromUint(2 * qap.Degree() + 2)).ok());
 }
 
-// The residue-pipeline ComputeH must match the frozen coefficient-form
+// m constraints x0 · x1 = x2: the h row depends on m alone.
+template <typename Fd>
+R1cs<Fd> RepeatedConstraintSystem(size_t m) {
+  R1cs<Fd> cs;
+  cs.layout = {3, 0, 0};
+  R1csConstraint<Fd> c;
+  c.a = LinearCombination<Fd>::Variable(0);
+  c.b = LinearCombination<Fd>::Variable(1);
+  c.c = LinearCombination<Fd>::Variable(2);
+  cs.constraints.assign(m, c);
+  return cs;
+}
+
+// The verifier's h row is the Lagrange basis over the nodes m+1..2m+1 the
+// prover commits h on: for any P of degree <= m, the row applied to P's
+// values at the nodes gives P(tau).
+template <typename Fd>
+void CheckHRowIsTheLagrangeBasis(uint64_t seed) {
+  Prg prg(seed);
+  for (size_t m : {size_t{1}, size_t{7}, size_t{60}}) {
+    R1cs<Fd> cs = RepeatedConstraintSystem<Fd>(m);
+    Qap<Fd> qap(cs);
+    for (int trial = 0; trial < 3; trial++) {
+      Polynomial<Fd> p(prg.NextFieldVector<Fd>(m + 1));
+      const Fd tau = prg.NextField<Fd>();
+      auto ev_or = qap.EvaluateAtTau(tau);
+      ASSERT_TRUE(ev_or.ok()) << ev_or.status().ToString();
+      ASSERT_EQ(ev_or->h_row.size(), m + 1);
+      Fd via_row = Fd::Zero();
+      for (size_t k = 0; k <= m; k++) {
+        via_row += p.Evaluate(Fd::FromUint(m + 1 + k)) * ev_or->h_row[k];
+      }
+      EXPECT_EQ(via_row, p.Evaluate(tau)) << "m = " << m;
+    }
+  }
+}
+
+TEST(QapTest, HRowIsTheLagrangeBasis) {
+  CheckHRowIsTheLagrangeBasis<F128>(77);
+  CheckHRowIsTheLagrangeBasis<F220>(78);
+}
+
+// The shifted-evaluation ComputeH must match the frozen coefficient-form
 // ComputeHNaive bit for bit — same h vector, same exact flag — for
-// satisfying, perturbed, and fully random assignments. Run across system
-// sizes that land on both sides of the subproduct tree's residue switch
-// level (F-domain combines below length-32 nodes, residue combines above).
+// satisfying, perturbed, fully random and zero assignments, across system
+// sizes on both fields.
 template <typename Fd>
 void CheckComputeHDifferential(uint64_t seed, size_t num_constraints) {
   Prg prg(seed);

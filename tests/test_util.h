@@ -5,10 +5,12 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <array>
 #include <vector>
 
 #include "src/constraints/ginger.h"
 #include "src/crypto/prg.h"
+#include "src/poly/algorithms.h"
 
 namespace zaatar {
 
@@ -56,6 +58,36 @@ RandomSystem<F> MakeRandomSatisfiedSystem(Prg& prg, size_t num_unbound,
     F residual = c.Evaluate(out.assignment);
     c.linear.AddConstant(-residual);
     out.system.constraints.push_back(std::move(c));
+  }
+  return out;
+}
+
+// The polynomial of degree <= m whose values at the h nodes m+1..2m+1 are
+// h (m + 1 = h.size()): H itself for Qap::ComputeH's h.
+template <typename F>
+Polynomial<F> PolynomialThroughHNodes(const std::vector<F>& h) {
+  const size_t m = h.size() - 1;
+  std::vector<F> nodes(m + 1);
+  for (size_t k = 0; k <= m; k++) {
+    nodes[k] = F::FromUint(m + 1 + k);
+  }
+  return InterpolateNaive(nodes, h);
+}
+
+// Two h vectors in a basis other than the verifier's, built from an honest
+// h: H's coefficients, low degree first (the paper's h), and H's values one
+// node off, at m+2..2m+2.
+template <typename F>
+std::array<std::vector<F>, 2> HInOtherBases(const std::vector<F>& h) {
+  const size_t m = h.size() - 1;
+  Polynomial<F> h_poly = PolynomialThroughHNodes(h);
+  std::array<std::vector<F>, 2> out;
+  out[0].assign(m + 1, F::Zero());
+  for (size_t i = 0; i < h_poly.CoefficientCount(); i++) {
+    out[0][i] = h_poly[i];
+  }
+  for (size_t k = 0; k <= m; k++) {
+    out[1].push_back(h_poly.Evaluate(F::FromUint(m + 2 + k)));
   }
   return out;
 }

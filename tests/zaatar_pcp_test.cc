@@ -75,8 +75,8 @@ TEST(ZaatarPcpTest, RejectsWrongOutput) {
 }
 
 TEST(ZaatarPcpTest, RejectsBestEffortCheatingProof) {
-  // A prover whose witness is wrong in one variable, with H computed as the
-  // (inexact) polynomial quotient.
+  // A prover whose witness is wrong in one variable, with h computed as
+  // P_w/D at the h nodes (D does not divide P_w).
   Prg prg(83);
   auto f = Fixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
@@ -170,6 +170,7 @@ TEST(ZaatarPcpTest, QueriesAreReusableAcrossABatch) {
   }
 }
 
+// tau avoids the interpolation points 0..m and the h nodes m+1..2m+1.
 TEST(ZaatarPcpTest, TauAvoidsInterpolationPoints) {
   Prg prg(89);
   auto f = Fixture::Make(prg);
@@ -177,7 +178,32 @@ TEST(ZaatarPcpTest, TauAvoidsInterpolationPoints) {
   auto q = Pcp::GenerateQueries(qap, PcpParams{}, prg);
   for (const auto& rep : q.reps) {
     EXPECT_GT(rep.tau.ToCanonical(),
-              typename F::Repr(static_cast<uint64_t>(qap.Degree())));
+              typename F::Repr(static_cast<uint64_t>(2 * qap.Degree() + 1)));
+  }
+}
+
+// An honest z with h in a basis other than the verifier's: H's coefficients
+// (the paper's h), or H's values one node off (at m+2..2m+2). Each is a
+// fixed linear image of the honest h, so every linearity test passes and
+// only the divisibility check can catch it — which it must, every time.
+TEST(ZaatarPcpTest, RejectsHInAnotherBasis) {
+  Prg prg(90);
+  auto f = Fixture::Make(prg);
+  Qap<F> qap(f.transform.r1cs);
+  auto proof = BuildZaatarProof(qap, f.witness);
+  const auto other_bases = HInOtherBases(proof.h);
+  VectorOracle<F> oz(proof.z), oh(proof.h);
+  for (uint64_t seed = 0; seed < 20; seed++) {
+    Prg qprg(9100 + seed);
+    auto q = Pcp::GenerateQueries(qap, PcpParams{}, qprg);
+    auto rz = oz.QueryAll(q.z_queries);
+    ASSERT_TRUE(Pcp::Decide(q, rz, oh.QueryAll(q.h_queries), f.bound))
+        << "honest h, seed " << seed;
+    for (size_t b = 0; b < other_bases.size(); b++) {
+      VectorOracle<F> bad(other_bases[b]);
+      EXPECT_FALSE(Pcp::Decide(q, rz, bad.QueryAll(q.h_queries), f.bound))
+          << "basis " << b << ", seed " << seed;
+    }
   }
 }
 
