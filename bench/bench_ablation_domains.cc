@@ -1,59 +1,44 @@
-// Ablation (DESIGN.md §7): the prover's polynomial pipeline under three
-// evaluation-domain strategies, at growing QAP degree n:
+// Ablation (DESIGN.md §7): the prover's construct-u pipeline under three
+// evaluation-domain strategies, at growing QAP degree n = |C| on
+// bench_util's synthetic R1CS, one thread each:
 //
-//   1. paper-faithful: arithmetic-progression points {0..n} over the 128-bit
-//      field, subproduct-tree interpolation + CRT/NTT multiplication +
-//      Newton division — the 3·f·|C|·log^2|C| pipeline of Appendix A.3;
-//   2. naive: O(n^2) Lagrange interpolation (what "implemented naively"
-//      costs, for contrast);
+//   1. paper points: the prover that runs (Qap::ComputeH) on the paper's
+//      arithmetic-progression points {0..n} over the 128-bit field — A, B
+//      and C shifted to the h nodes by three middle products through the
+//      CRT/NTT residue basis;
+//   2. naive: the direct O(n^2) reference (Qap::ComputeHNaive), for
+//      contrast, at n <= 2048;
 //   3. roots-of-unity: a modern SNARK-style domain over an NTT-friendly
 //      62-bit prime, where interpolation is a single inverse NTT — the
 //      design Zaatar's successors adopted.
 //
-// Expected shape: (1) grows ~n log^2 n, (2) ~n^2, (3) ~n log n with a much
-// smaller constant (one transform instead of a tree of multiplications).
+// Expected shape: (1) and (3) grow ~n log n, (1) with the residue basis's
+// constant on top (5 primes per product on F128); (2) grows ~n^2.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/poly/algorithms.h"
 #include "src/poly/ntt.h"
+#include "src/util/parallel_for.h"
 
 namespace zaatar {
 namespace {
 
-double TimeFaithful(size_t n, Prg& prg) {
-  std::vector<F128> points(n + 1);
-  for (size_t i = 0; i <= n; i++) {
-    points[i] = F128::FromUint(i);
-  }
-  auto ea = prg.NextFieldVector<F128>(n + 1);
-  auto eb = prg.NextFieldVector<F128>(n + 1);
-  auto ec = prg.NextFieldVector<F128>(n + 1);
+// Seconds of one ComputeH (or, with `naive`, one ComputeHNaive) on a
+// synthetic system with n constraints; the prover's per-Qap context is
+// built outside the timed region, as a batch amortizes it.
+double TimeComputeH(size_t n, bool naive, Prg& prg) {
+  bench::SyntheticSystem s = bench::MakeSynthetic(n, prg);
+  Qap<F128> qap(s.cs);
+  qap.WarmProver();
   Stopwatch sw;
-  SubproductTree<F128> tree(points);
-  Polynomial<F128> pa = tree.Interpolate(ea);
-  Polynomial<F128> pb = tree.Interpolate(eb);
-  Polynomial<F128> pc = tree.Interpolate(ec);
-  Polynomial<F128> pw = pa * pb - pc;
-  Polynomial<F128> d = tree.Root().ShiftDown(1);
-  auto qr = DivRem(pw, d);
-  (void)qr;
-  return sw.ElapsedSeconds();
-}
-
-double TimeNaiveInterpolation(size_t n, Prg& prg) {
-  std::vector<F128> points(n + 1);
-  for (size_t i = 0; i <= n; i++) {
-    points[i] = F128::FromUint(i);
+  auto hr = naive ? qap.ComputeHNaive(s.witness) : qap.ComputeH(s.witness);
+  const double seconds = sw.ElapsedSeconds();
+  if (!hr.exact) {
+    fprintf(stderr, "synthetic witness rejected at n = %zu\n", n);
   }
-  auto values = prg.NextFieldVector<F128>(n + 1);
-  Stopwatch sw;
-  auto p = InterpolateNaive(points, values);
-  (void)p;
-  // One interpolation of the three the prover needs; scale accordingly.
-  return 3 * sw.ElapsedSeconds();
+  return seconds;
 }
 
 double TimeRootsOfUnity(size_t n, Prg& prg) {
@@ -99,20 +84,22 @@ double TimeRootsOfUnity(size_t n, Prg& prg) {
 
 int main() {
   using namespace zaatar;
-  printf("Ablation: prover polynomial pipeline by evaluation domain\n\n");
-  printf("%8s %18s %18s %18s\n", "n=|C|", "paper(subprod)", "naive O(n^2)",
-         "roots-of-unity");
+  printf("Ablation: prover construct-u pipeline by evaluation domain "
+         "(one thread)\n\n");
+  printf("%8s %18s %18s %18s\n", "n=|C|", "paper pts (shift)",
+         "naive O(n^2)", "roots-of-unity");
   bench::PrintRule(70);
+  ScopedParallelismCap one_thread(1);
   Prg prg(99);
   for (size_t n : {512u, 1024u, 2048u, 4096u, 8192u}) {
-    double faithful = TimeFaithful(n, prg);
-    double naive = n <= 512 ? TimeNaiveInterpolation(n, prg) : -1;
+    double paper = TimeComputeH(n, /*naive=*/false, prg);
+    double naive = n <= 2048 ? TimeComputeH(n, /*naive=*/true, prg) : -1;
     double rou = TimeRootsOfUnity(n, prg);
-    printf("%8zu %18s %18s %18s\n", n,
-           bench::HumanSeconds(faithful).c_str(),
+    printf("%8zu %18s %18s %18s\n", n, bench::HumanSeconds(paper).c_str(),
            bench::HumanSeconds(naive).c_str(),
            bench::HumanSeconds(rou).c_str());
   }
-  printf("\n(naive column measured at n=512 only -- ~9 s already; extrapolate quadratically)\n");
+  printf("\n(naive column measured at n <= 2048; extrapolate "
+         "quadratically)\n");
   return 0;
 }

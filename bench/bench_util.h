@@ -166,6 +166,32 @@ inline void PrintRule(int width = 110) {
   putchar('\n');
 }
 
+// Synthetic R1CS with exactly m constraints v0 · v_{1+j} = v_{1+m+j} and a
+// satisfying witness with distinct values — the QAP prover's cost depends
+// only on the shape, and this keeps |C| an exact power of two (the apps
+// suite cannot pin it).
+struct SyntheticSystem {
+  R1cs<F128> cs;
+  std::vector<F128> witness;
+};
+
+inline SyntheticSystem MakeSynthetic(size_t m, Prg& prg) {
+  SyntheticSystem s;
+  s.cs.layout = {1 + 2 * m, 0, 0};
+  s.witness.resize(1 + 2 * m);
+  s.witness[0] = prg.NextNonzeroField<F128>();
+  for (size_t j = 0; j < m; j++) {
+    R1csConstraint<F128> c;
+    c.a = LinearCombination<F128>::Variable(0);
+    c.b = LinearCombination<F128>::Variable(static_cast<uint32_t>(1 + j));
+    c.c = LinearCombination<F128>::Variable(static_cast<uint32_t>(1 + m + j));
+    s.cs.constraints.push_back(c);
+    s.witness[1 + j] = prg.NextNonzeroField<F128>();
+    s.witness[1 + m + j] = s.witness[0] * s.witness[1 + j];
+  }
+  return s;
+}
+
 }  // namespace bench
 }  // namespace zaatar
 

@@ -170,12 +170,15 @@ EOF
 ntt_smoke() {
   # NTT proving-pipeline baseline: emit BENCH_ntt.json from the --json mode
   # of the fig5 bench (ComputeH and its qap.shift span on synthetic R1CS at
-  # |C| in {256, 1024, 4096}) and gate it against the Figure 3 model:
-  # construct_proof / (3 f |C| log2^2 |C|) <= 6 at |C| = 1024. ComputeH
-  # runs on one thread, like the model; it is the best of four instances
-  # and f the best of the multiply chains timed between them. The
-  # coefficient-form path (ComputeHNaive) sits at 12-20x; a ratio drifting
-  # above 6 means the pipeline fell off the NTT path.
+  # |C| in {256, 1024, 4096}) and gate it at |C| = 1024 twice. Against the
+  # Figure 3 model: construct_proof / (3 f |C| log2^2 |C|) <= 6. Against the
+  # direct O(|C|^2) reference (ComputeHNaive, naive_s) timed in the same
+  # run: naive_s / construct_proof >= 7, half the lowest ratio the shift
+  # has read (14x). A pipeline that fell back to slower interpolation fails
+  # it: a residue-domain subproduct tree read 3.3-5.3x against this
+  # reference. ComputeH runs on one thread, like the model; it is the best
+  # of four instances, naive_s the best of two, and f the best of the
+  # multiply chains timed between the instances.
   local build_dir="$1"
   echo "==== [bench] ntt pipeline smoke ===="
   local njson="$build_dir/BENCH_ntt_smoke.json"
@@ -200,9 +203,12 @@ gate = next(s for s in sizes if s["c"] == 1024)
 assert gate["model_ratio"] <= 6.0, \
     f"construct_proof / model = {gate['model_ratio']:.2f} > 6 at |C|=1024"
 assert gate["naive_s"] is not None and gate["naive_s"] > 0
+speedup = gate["naive_s"] / gate["construct_proof_s"]
+assert speedup >= 7.0, \
+    f"naive_s / construct_proof = {speedup:.1f} < 7 at |C|=1024"
 print("ntt pipeline ok:",
       ", ".join(f"|C|={s['c']} ratio={s['model_ratio']:.2f}" for s in sizes),
-      f"(naive@1024 {gate['naive_s']:.3f}s)")
+      f"(naive@1024 {gate['naive_s']:.3f}s, {speedup:.1f}x)")
 EOF
   else
     grep -q '"ntt.pipeline.v2"' "$njson"
@@ -524,7 +530,7 @@ tsan_build() {
   cmake --build build-tsan -j "$JOBS" \
     --target parallel_test multiexp_test protocol_test obs_test \
              transport_robustness_test serve_test chaos_test \
-             residue_test poly_test qap_test harness_test
+             residue_test qap_test harness_test
 }
 tsan_test() {
   local t="$1"
@@ -548,7 +554,7 @@ if [[ -z "$ONLY" || "$ONLY" == "thread" ]]; then
   done
   check "tsan pooled prover (harness)" \
     tsan_test harness_test --gtest_filter='HarnessPoolTest.*'
-  for t in residue_test poly_test qap_test; do
+  for t in residue_test qap_test; do
     check "tsan $t (ZAATAR_POLY_WORKERS=4)" tsan_poly_test "$t"
   done
 fi

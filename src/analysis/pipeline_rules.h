@@ -4,12 +4,11 @@
 // These rules re-derive the invariants the downstream protocol silently
 // relies on instead of trusting the producing code: the transform's
 // |Z'| = |Z| + K2 / |C'| = |C| + K2 accounting and the structural shape of
-// its product rows, and — at the QAP layer — that the divisor polynomial
-// D(t) = prod_{j=1..|C|} (t - j) really is the degree-|C| monic polynomial
-// the divisibility argument (paper Appendix A.1) assumes, that the
-// verifier-side evaluation produces one row per variable plus the constant
-// row, and that the prover's shift to the h nodes and the verifier's h row
-// agree on one basis.
+// its product rows, and — at the QAP layer — that the verifier's D(tau) is
+// the divisor prod_{j=1..|C|} (tau - j) the divisibility argument (paper
+// Appendix A.1) assumes, that the verifier-side evaluation produces one row
+// per variable plus the constant row, and that the prover's shift to the h
+// nodes and the verifier's h row agree on one basis.
 
 #ifndef SRC_ANALYSIS_PIPELINE_RULES_H_
 #define SRC_ANALYSIS_PIPELINE_RULES_H_
@@ -111,27 +110,6 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report) {
                     std::to_string(m));
   }
 
-  // D(t) = prod_{j=1..m} (t - j): monic of degree m, vanishing at each
-  // interpolation point and equal to (-1)^m · m! at zero.
-  Polynomial<F> d = qap.Divisor();
-  if (d.Degree() != static_cast<long>(m)) {
-    report->Add(Severity::kError, kRuleQapShape, loc,
-                "divisor polynomial has degree " + std::to_string(d.Degree()) +
-                    ", expected |C| = " + std::to_string(m));
-  } else if (!d.LeadingCoefficient().IsOne()) {
-    report->Add(Severity::kError, kRuleQapShape, loc,
-                "divisor polynomial is not monic");
-  } else {
-    F expect_at_zero = F::One();
-    for (size_t j = 1; j <= m; j++) {
-      expect_at_zero *= -F::FromUint(j);
-    }
-    if (d.Evaluate(F::Zero()) != expect_at_zero) {
-      report->Add(Severity::kError, kRuleQapShape, loc,
-                  "divisor polynomial disagrees with prod (t - j) at t = 0");
-    }
-  }
-
   if (m > 0) {
     // Any point outside {0..2m+1} (the interpolation points and the h
     // nodes) is a valid probe; 2m+2 is deterministic.
@@ -153,24 +131,26 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report) {
                       " rows, expected |variables| + 1 = " +
                       std::to_string(rows));
     }
+    F d_tau = F::One();  // D(tau) = prod_{j=1..m} (tau - j), directly
+    for (size_t j = 1; j <= m; j++) {
+      d_tau *= tau - F::FromUint(j);
+    }
     if (ev.d_tau.IsZero()) {
       report->Add(Severity::kError, kRuleQapShape, loc,
                   "D(tau) = 0 at a point outside the interpolation set");
-    } else if (d.Degree() == static_cast<long>(m) &&
-               d.Evaluate(tau) != ev.d_tau) {
+    } else if (ev.d_tau != d_tau) {
       report->Add(Severity::kError, kRuleQapShape, loc,
-                  "barycentric D(tau) disagrees with the materialized "
-                  "divisor polynomial");
+                  "barycentric D(tau) disagrees with prod (tau - j)");
     }
 
-    // Prover probes: ComputeH never touches the coefficient-form D(t); it
-    // shifts values through cached NTT images and per-point scales.
-    // Re-derive the cache's defining identity instead of trusting it: the
-    // probe P(x) = (x + c)^m, shifted from its values at 0..m, must land on
-    // its values at m+1..2m+1, and those must meet the verifier's h row in
-    // P(tau). A random c catches any wrong shift map except with
-    // probability m/|F| (the vectors ((j + c)^m)_j span every value
-    // vector), and P takes O(log m) per point where Horner would take O(m).
+    // Prover probes: ComputeH shifts values through cached NTT images and
+    // per-point scales. Re-derive the cache's defining identity instead of
+    // trusting it: the probe P(x) = (x + c)^m, shifted from its values at
+    // 0..m, must land on its values at m+1..2m+1, and those must meet the
+    // verifier's h row in P(tau). A random c catches any wrong shift map
+    // except with probability m/|F| (the vectors ((j + c)^m)_j span every
+    // value vector), and P takes O(log m) per point where Horner would take
+    // O(m).
     Prg probe_prg(0x5eed);
     const F c = probe_prg.NextField<F>();
     auto probe = [&](const F& x) { return (x + c).Pow(m); };
@@ -197,16 +177,16 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report) {
     }
 
     // Small systems get a full end-to-end differential: ComputeH must
-    // reproduce the frozen coefficient-form path bit for bit on an
-    // arbitrary (non-satisfying) assignment.
+    // reproduce the direct O(m²) reference bit for bit on an arbitrary
+    // (non-satisfying) assignment.
     if (m <= 256) {
       std::vector<F> w = probe_prg.NextFieldVector<F>(cs.layout.Total());
       auto fast = qap.ComputeH(w);
       auto slow = qap.ComputeHNaive(w);
       if (fast.h != slow.h || fast.exact != slow.exact) {
         report->Add(Severity::kError, kRuleQapShape, loc,
-                    "ComputeH diverges from the coefficient-form reference "
-                    "on a probe assignment");
+                    "ComputeH diverges from the direct reference on a "
+                    "probe assignment");
       }
     }
   }

@@ -61,7 +61,7 @@ inline constexpr RuleInfo kRuleCatalog[] = {
     {"ZL012", Severity::kError,
      "Ginger->Zaatar transform bookkeeping mismatch"},
     {"ZL020", Severity::kError,
-     "QAP shape violation (divisor degree / row dimensions)"},
+     "QAP shape violation (D(tau) / row dimensions / prover shift)"},
     {"ZL021", Severity::kError,
      "equivalence mismatch: a concrete input separates the source program "
      "from the compiled constraint system"},

@@ -15,6 +15,9 @@
 //     against cached NTT images (Bostan, Gaudry and Schost's shifting of
 //     evaluation points), and divides A·B − C by D(t) = prod_j (t - sigma_j)
 //     pointwise there. Cost ~ 3 products of length 2^ceil(log2(2|C|+1)).
+//   - Reference: ComputeHNaive reaches each h node by the barycentric form
+//     with weights and D taken as direct products, O(|C|²) and sharing no
+//     code with ComputeH, which must match it bit for bit.
 //   - Verifier side: EvaluateAtTau computes {A_i(tau)}, {B_i(tau)},
 //     {C_i(tau)} for all rows i (row 0 = constant term), D(tau), and the h
 //     row (L_0(tau), .., L_m(tau)) over the h nodes with barycentric
@@ -31,7 +34,6 @@
 
 #include "src/constraints/r1cs.h"
 #include "src/obs/trace.h"
-#include "src/poly/algorithms.h"
 #include "src/poly/residue.h"
 #include "src/util/status.h"
 
@@ -44,11 +46,6 @@ class Qap {
 
   const R1cs<F>& constraint_system() const { return *cs_; }
   size_t Degree() const { return cs_->NumConstraints(); }
-
-  // The divisor polynomial D(t) = prod_{j=1..|C|} (t - j), materialized from
-  // the subproduct tree. Static analysis checks deg D == |C| against the
-  // constraint system instead of trusting the Degree() definition.
-  Polynomial<F> Divisor() const { return Tree().Root().ShiftDown(1); }
 
   // ----- Prover -----
 
@@ -134,38 +131,69 @@ class Qap {
     return shifted;
   }
 
-  // The frozen coefficient-form pipeline ComputeH replaced: interpolate with
-  // Polynomial products, divide with DivRem and read exactness off the
-  // remainder, then evaluate P_w and D at the h nodes by Horner and divide.
-  // Kept as the differential yardstick — ComputeH must reproduce its output
-  // bit for bit, on any assignment.
+  // The reference ComputeH must reproduce bit for bit, on any assignment
+  // (the differential suites in tests/qap_test.cc, the analyzer's ZL020).
+  // It shares no code with ComputeH: A, B and C's values at 0..m go to each
+  // h node x = m+1+k by the barycentric Lagrange form
+  //   P(x) = ell(x) · sum_j P(j)·w_j / (x - j),  ell(x) = x·D(x),
+  // with w_j = 1/prod_{k != j} (j - k) and D(x) = prod_{i=1..m} (x - i)
+  // taken as direct products, then h_k = (A·B − C)(x) / D(x). O(m²).
   HResult ComputeHNaive(const std::vector<F>& assignment) const {
     obs::Span span("qap.compute_h_naive");
     const size_t m = Degree();
-    const SubproductTree<F>& tree = Tree();
+    std::vector<F> pt(2 * m + 2);  // pt[i] = i
+    for (size_t i = 0; i < pt.size(); i++) {
+      pt[i] = F::FromUint(i);
+    }
 
-    std::vector<F> ea(m + 1, F::Zero()), eb(m + 1, F::Zero()),
-        ec(m + 1, F::Zero());
+    std::vector<F> ya(m + 1, F::Zero()), yb(m + 1, F::Zero()),
+        yc(m + 1, F::Zero());
     for (size_t j = 0; j < m; j++) {
       const auto& c = cs_->constraints[j];
-      ea[j + 1] = c.a.Evaluate(assignment);
-      eb[j + 1] = c.b.Evaluate(assignment);
-      ec[j + 1] = c.c.Evaluate(assignment);
+      ya[j + 1] = c.a.Evaluate(assignment);
+      yb[j + 1] = c.b.Evaluate(assignment);
+      yc[j + 1] = c.c.Evaluate(assignment);
     }
-    Polynomial<F> pa = tree.Interpolate(ea);
-    Polynomial<F> pb = tree.Interpolate(eb);
-    Polynomial<F> pc = tree.Interpolate(ec);
-    Polynomial<F> pw = pa * pb - pc;
-
-    // D(t) = Root()/t since the point set is {0, 1, .., m}.
-    Polynomial<F> d = tree.Root().ShiftDown(1);
-
     HResult out;
-    out.exact = DivRem(pw, d).remainder.IsZero();
+    out.exact = true;
+    for (size_t j = 1; j <= m; j++) {
+      out.exact = out.exact && ya[j] * yb[j] == yc[j];
+    }
+
+    // inv[d] = 1/d for every difference d = x - j in 1..2m+1.
+    std::vector<F> inv(2 * m + 2);
+    for (size_t d = 1; d < inv.size(); d++) {
+      inv[d] = pt[d].Inverse();
+    }
+    for (size_t j = 0; j <= m; j++) {
+      F prod = F::One();
+      for (size_t k = 0; k <= m; k++) {
+        if (k != j) {
+          prod *= pt[j] - pt[k];
+        }
+      }
+      const F w = prod.Inverse();
+      ya[j] *= w;
+      yb[j] *= w;
+      yc[j] *= w;
+    }
+
     out.h.resize(m + 1);
     for (size_t k = 0; k <= m; k++) {
-      const F x = F::FromUint(m + 1 + k);
-      out.h[k] = pw.Evaluate(x) * d.Evaluate(x).Inverse();
+      const size_t x = m + 1 + k;
+      F d = F::One();
+      for (size_t i = 1; i <= m; i++) {
+        d *= pt[x - i];
+      }
+      F sa = F::Zero(), sb = F::Zero(), sc = F::Zero();
+      for (size_t j = 0; j <= m; j++) {
+        sa += ya[j] * inv[x - j];
+        sb += yb[j] * inv[x - j];
+        sc += yc[j] * inv[x - j];
+      }
+      const F ell = pt[x] * d;
+      const F a = ell * sa, b = ell * sb, c = ell * sc;
+      out.h[k] = (a * b - c) * d.Inverse();
     }
     return out;
   }
@@ -278,7 +306,7 @@ class Qap {
   // of a batch: the CRT basis for the shift's product bound
   // 2·bits(p) + ceil(log2(m+1)) (m+1 terms, each a product of two canonical
   // values), the forward images of g_i = 1/(i+1), i = 0..2m, at
-  // N = 2^ceil(log2(2m+1)), and the per-point scales.
+  // N = 2^ceil(log2(2m+1)), and the per-point weights and scales.
   struct ProverContext {
     const CrtBasis<F>* basis = nullptr;
     NttImages g_images;
@@ -312,10 +340,16 @@ class Qap {
           ResiduePoly<F>::FromCoefficients(g.data(), g.size(), *ctx->basis,
                                            workers)
               .ForwardImages(CeilLog2(2 * m + 1), workers);
-      ctx->weights = ConsecutivePointWeights<F>(m + 1);
+      ctx->weights.resize(m + 1);
       ctx->scale.resize(m + 1);
       ctx->d_inv.resize(m + 1);
       for (size_t k = 0; k <= m; k++) {
+        // w_k = (-1)^(m-k) / (k! (m-k)!): prod_{j != k} (k - j) is the
+        // product of k!, and of (m-k)! with m-k negated factors.
+        ctx->weights[k] = inv_fact[k] * inv_fact[m - k];
+        if ((m - k) % 2 == 1) {
+          ctx->weights[k] = -ctx->weights[k];
+        }
         ctx->scale[k] = fact[m + 1 + k] * inv_fact[k];
         ctx->d_inv[k] = fact[k] * inv_fact[m + k];
       }
@@ -332,19 +366,7 @@ class Qap {
     }
   }
 
-  const SubproductTree<F>& Tree() const {
-    if (tree_ == nullptr) {
-      std::vector<F> points(Degree() + 1);
-      for (size_t k = 0; k < points.size(); k++) {
-        points[k] = F::FromUint(k);
-      }
-      tree_ = std::make_unique<SubproductTree<F>>(std::move(points));
-    }
-    return *tree_;
-  }
-
   const R1cs<F>* cs_;
-  mutable std::unique_ptr<SubproductTree<F>> tree_;
   mutable std::unique_ptr<ProverContext> prover_;
 };
 

@@ -43,8 +43,8 @@ struct ZaatarProof {
 // with high probability — tests rely on this.
 //
 // ComputeH shifts evaluations through cached NTT images
-// (src/poly/residue.h) and is bit-identical to the frozen coefficient-form
-// path (Qap::ComputeHNaive) on every assignment, satisfying or not.
+// (src/poly/residue.h) and is bit-identical to the direct O(|C|²)
+// reference (Qap::ComputeHNaive) on every assignment, satisfying or not.
 template <typename F>
 ZaatarProof<F> BuildZaatarProof(const Qap<F>& qap,
                                 const std::vector<F>& assignment) {

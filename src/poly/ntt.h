@@ -1,7 +1,8 @@
 // Number-theoretic transforms over 62-bit primes with runtime Montgomery
-// arithmetic. These are the workhorse of quasi-linear polynomial
-// multiplication for the big verified-computation fields (src/poly/crt_mul.h)
-// — the "operations based on the FFT" of the paper's Appendix A.3.
+// arithmetic. These are the workhorse of the residue products
+// (src/poly/residue.h) that shift the QAP prover's values over the big
+// verified-computation fields — the "operations based on the FFT" of the
+// paper's Appendix A.3.
 //
 // The primes are of the form k·2^42 + 1 (2-adicity 42), generated offline
 // with hard-coded 2^42-th roots of unity; tests verify both properties.

@@ -12,15 +12,14 @@
 //     v ≡ Σ t_i·(Q/q_i) − αQ with α recovered from Σ t_i/q_i in doubles),
 //     replacing the O(k²) Garner reconstruction.
 //   - ResiduePoly<F>: per-prime coefficient vectors with an integer
-//     coefficient bound tracked in bits, ingested once, multiplied
-//     (directly, or against cached forward images of a fixed operand), and
-//     folded once. The bound must stay within the basis capacity (62k−1
-//     bits — one guard bit under Q so the float α-correction cannot
-//     straddle an integer).
+//     coefficient bound tracked in bits, ingested once, multiplied against
+//     cached forward images of a fixed operand, and folded once. The bound
+//     must stay within the basis capacity (62k−1 bits — one guard bit under
+//     Q so the float α-correction cannot straddle an integer).
 //
-// Two callers: MulCrt (src/poly/crt_mul.h), behind Polynomial::operator*,
-// and Qap::ComputeH, whose shift to the h nodes is one offset product per
-// polynomial against the cached images of (1, 1/2, .., 1/(2m+1)).
+// One caller: Qap::ComputeH, whose shift to the h nodes is one offset
+// product per polynomial against the cached images of
+// (1, 1/2, .., 1/(2m+1)).
 
 #ifndef SRC_POLY_RESIDUE_H_
 #define SRC_POLY_RESIDUE_H_
@@ -88,8 +87,7 @@ class CrtBasis {
   // Reduces a canonical big integer (little-endian limbs, < 2^(64*count))
   // into Montgomery-form residues, one Montgomery multiply per limb: the
   // limb bases are stored as 2^(64j)·R² mod q so Mul(limb, base_j) lands
-  // directly in Montgomery form (the old MulCrt paid ToMont per limb plus a
-  // FromMont on the accumulator).
+  // directly in Montgomery form.
   void ReduceLimbs(const uint64_t* limbs, size_t count, uint64_t* out) const {
     for (size_t pi = 0; pi < k_; pi++) {
       const MontField64& f = fields_[pi];
@@ -221,7 +219,7 @@ class ResiduePoly {
     size_t k = basis.k();
     ChunkedFor(len, workers, [&](size_t i) {
       // One canonical conversion per coefficient, hoisted out of the
-      // per-prime loop (satellite fix: the old MulCrt redid it per prime).
+      // per-prime loop.
       typename F::Repr rep = c[i].ToCanonical();
       uint64_t res[kNumNttPrimes];
       basis.ReduceLimbs(rep.limbs.data(), F::kLimbs, res);
@@ -246,36 +244,6 @@ class ResiduePoly {
   }
 
   // ----- arithmetic -----
-
-  static ResiduePoly Mul(const ResiduePoly& a, const ResiduePoly& b,
-                         size_t workers) {
-    assert(a.basis_ == b.basis_ && a.len_ > 0 && b.len_ > 0);
-    const CrtBasis<F>& basis = *a.basis_;
-    size_t out_len = a.len_ + b.len_ - 1;
-    size_t log_n = CeilLog2(out_len);
-    size_t n = size_t{1} << log_n;
-    size_t bound =
-        a.bound_bits_ + b.bound_bits_ + CeilLog2(std::min(a.len_, b.len_));
-    assert(bound <= basis.capacity_bits());
-    ResiduePoly out = Make(basis, out_len, bound);
-    obs::MetricAdd("ntt.forward", 2 * basis.k());
-    obs::MetricAdd("ntt.inverse", basis.k());
-    obs::MetricObserve("ntt.points", n);
-    ParallelFor(basis.k(), workers, [&](size_t pi) {
-      const MontField64& f = basis.field(pi);
-      std::vector<uint64_t> fa(n, 0), fb(n, 0);
-      std::copy(a.r_[pi].begin(), a.r_[pi].end(), fa.begin());
-      std::copy(b.r_[pi].begin(), b.r_[pi].end(), fb.begin());
-      NttForward(pi, fa.data(), log_n);
-      NttForward(pi, fb.data(), log_n);
-      for (size_t i = 0; i < n; i++) {
-        fa[i] = f.Mul(fa[i], fb[i]);
-      }
-      NttInverse(pi, fa.data(), log_n);
-      std::copy(fa.begin(), fa.begin() + out_len, out.r_[pi].begin());
-    });
-    return out;
-  }
 
   // Forward images at a fixed size, for reuse across many products.
   NttImages ForwardImages(size_t log_n, size_t workers) const {

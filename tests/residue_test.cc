@@ -8,24 +8,14 @@
 
 #include "src/crypto/prg.h"
 #include "src/field/fields.h"
-#include "src/poly/algorithms.h"
-#include "src/poly/crt_mul.h"
-#include "src/poly/polynomial.h"
+#include "tests/test_util.h"
 
 namespace zaatar {
 namespace {
 
-// Synthetic fields chosen so CrtPrimeCount actually moves within testable
-// lengths (the production fields pin it at 5 resp. 8 primes for every
-// feasible size): F59 = 2^59 - 55 steps from 2 to 3 primes, and
-// F245 = 2^245 - 163 exhausts the 8-prime basis just above length 16.
-struct F59Config {
-  static constexpr size_t kLimbs = 1;
-  static constexpr std::array<uint64_t, 1> kModulus = {0x07FFFFFFFFFFFFC9ULL};
-  static constexpr const char* kName = "F59";
-};
-using F59 = PrimeField<F59Config>;
-
+// A synthetic field whose shift bound 2·245 + ceil(log2(m+1)) exhausts the
+// 8-prime basis at small m (the production fields need 5 resp. 8 primes at
+// every feasible size): F245 = 2^245 - 163.
 struct F245Config {
   static constexpr size_t kLimbs = 4;
   static constexpr std::array<uint64_t, 4> kModulus = {
@@ -35,7 +25,6 @@ struct F245Config {
 };
 using F245 = PrimeField<F245Config>;
 
-static_assert(F59::kModulusBits == 59);
 static_assert(F245::kModulusBits == 245);
 
 template <typename F>
@@ -47,6 +36,17 @@ class ResiduePolyTest : public ::testing::Test {
   ResiduePoly<F> FromVec(const std::vector<F>& c, size_t workers = 1) {
     return ResiduePoly<F>::FromCoefficients(c.data(), c.size(), basis_,
                                             workers);
+  }
+
+  // The whole product a·b: b's images at a transform that covers it, and
+  // the offset-0 window.
+  ResiduePoly<F> Mul(const std::vector<F>& a, const std::vector<F>& b,
+                     size_t workers = 1) {
+    const size_t out_len = a.size() + b.size() - 1;
+    return ResiduePoly<F>::MulImages(
+        FromVec(a, workers),
+        FromVec(b, workers).ForwardImages(CeilLog2(out_len), workers), 0,
+        out_len, workers);
   }
 };
 
@@ -72,25 +72,9 @@ TYPED_TEST(ResiduePolyTest, MulMatchesSchoolbook) {
                         {64, 100}}) {
     std::vector<F> a = prg.NextFieldVector<F>(la);
     std::vector<F> b = prg.NextFieldVector<F>(lb);
-    ResiduePoly<F> prod =
-        ResiduePoly<F>::Mul(this->FromVec(a), this->FromVec(b), 1);
-    EXPECT_EQ(prod.ToCoefficients(1), Polynomial<F>::NaiveMul(a, b))
+    EXPECT_EQ(this->Mul(a, b).ToCoefficients(1), SchoolbookMul(a, b))
         << "lengths " << la << "x" << lb;
   }
-}
-
-TYPED_TEST(ResiduePolyTest, CachedImagesMatchDirectProducts) {
-  using F = TypeParam;
-  Prg prg(908);
-  std::vector<F> a = prg.NextFieldVector<F>(40);
-  std::vector<F> b = prg.NextFieldVector<F>(25);
-  ResiduePoly<F> ra = this->FromVec(a), rb = this->FromVec(b);
-  size_t out_len = 40 + 25 - 1;
-  NttImages bimg = rb.ForwardImages(CeilLog2(out_len), 1);
-  ResiduePoly<F> via_img =
-      ResiduePoly<F>::MulImages(ra, bimg, 0, out_len, 1);
-  ResiduePoly<F> direct = ResiduePoly<F>::Mul(ra, rb, 1);
-  EXPECT_EQ(via_img.ToCoefficients(1), direct.ToCoefficients(1));
 }
 
 // The QAP prover's shift: coefficients m..2m of a length-(m+1) by
@@ -121,7 +105,7 @@ TYPED_TEST(ResiduePolyTest, OffsetProductMatchesSchoolbookMiddle) {
               ResiduePoly<F>::FromCoefficients(a.data(), a.size(), basis, 1),
               bimg, m, m + 1, 1)
               .ToCoefficients(1);
-      std::vector<F> full = Polynomial<F>::NaiveMul(a, b);
+      std::vector<F> full = SchoolbookMul(a, b);
       EXPECT_EQ(got, std::vector<F>(full.begin() + m,
                                     full.begin() + 2 * m + 1))
           << "m " << m << (a == max_a ? ", all p-1" : ", random");
@@ -136,91 +120,62 @@ TYPED_TEST(ResiduePolyTest, WorkerCountDoesNotChangeResults) {
   Prg prg(909);
   std::vector<F> a = prg.NextFieldVector<F>(700);
   std::vector<F> b = prg.NextFieldVector<F>(650);
-  ResiduePoly<F> p1 = ResiduePoly<F>::Mul(this->FromVec(a, 1),
-                                          this->FromVec(b, 1), 1);
-  ResiduePoly<F> p4 = ResiduePoly<F>::Mul(this->FromVec(a, 4),
-                                          this->FromVec(b, 4), 4);
+  ResiduePoly<F> p1 = this->Mul(a, b, 1);
+  ResiduePoly<F> p4 = this->Mul(a, b, 4);
   for (size_t pi = 0; pi < this->basis_.k(); pi++) {
     EXPECT_EQ(p1.Residues(pi), p4.Residues(pi)) << "prime " << pi;
   }
   EXPECT_EQ(p1.ToCoefficients(1), p4.ToCoefficients(4));
 }
 
-// ----- CRT sizing: step points and basis exhaustion (synthetic fields) -----
+// ----- CRT sizing: the bound ComputeH sizes its basis with -----
 
-// Lengths where the checked prime count changes value, scanning [1, max].
-template <typename F>
-std::vector<size_t> PrimeCountSteps(size_t max_len) {
-  std::vector<size_t> steps;
-  size_t prev = CrtPrimeCountChecked<F>(1).value();
-  for (size_t len = 2; len <= max_len; len++) {
-    StatusOr<size_t> k = CrtPrimeCountChecked<F>(len);
-    if (!k.ok()) {
-      break;
-    }
-    if (k.value() != prev) {
-      steps.push_back(len);
-      prev = k.value();
-    }
-  }
-  return steps;
-}
-
-// MulCrt against schoolbook at equal lengths, with uniform random
-// coefficients and with every coefficient at p-1 (the adversarial maximum
-// that stresses the integer coefficient bound the basis was sized for).
-template <typename F>
-void CheckMulCrtAt(size_t len, uint64_t seed) {
-  Prg prg(seed);
-  std::vector<F> a = prg.NextFieldVector<F>(len);
-  std::vector<F> b = prg.NextFieldVector<F>(len);
-  EXPECT_EQ(MulCrt(a.data(), len, b.data(), len),
-            Polynomial<F>::NaiveMul(a, b))
-      << "random, len " << len;
-  std::vector<F> mx(len, F::Zero() - F::One());
-  EXPECT_EQ(MulCrt(mx.data(), len, mx.data(), len),
-            Polynomial<F>::NaiveMul(mx, mx))
-      << "all-max, len " << len;
-}
-
-TEST(CrtSizingTest, MulCrtExactAcrossStepPoints) {
-  // F59: one step (2 -> 3 primes) inside the scan range.
-  std::vector<size_t> steps = PrimeCountSteps<F59>(64);
-  ASSERT_FALSE(steps.empty());
-  EXPECT_EQ(steps.front(), 17u);
-  uint64_t seed = 910;
-  for (size_t s : steps) {
-    ASSERT_GT(s, 1u);
-    CheckMulCrtAt<F59>(s - 1, seed++);
-    CheckMulCrtAt<F59>(s, seed++);
-  }
-}
-
-TEST(CrtSizingTest, MulCrtExactAtLargestFittingLength) {
-  // F245 needs all 8 primes from length 1 and exhausts the basis at the
-  // next power-of-two bump; find the boundary programmatically.
+// The largest m whose shift bound fits 8 primes, found by scanning the
+// predicate ComputeH's basis is sized with: there the offset product must
+// still match schoolbook, with random operands and with every coefficient
+// at p-1 (the maximum the bound was derived for).
+TEST(CrtSizingTest, OffsetProductExactAtLargestFittingDegree) {
+  using F = F245;
+  auto shift_bound = [](size_t m) {
+    return 2 * F::kModulusBits + CeilLog2(m + 1);
+  };
   size_t largest = 0;
-  for (size_t len = 1; CrtPrimeCountChecked<F245>(len).ok(); len++) {
-    largest = len;
+  for (size_t m = 1; CrtBasisFitsBound(shift_bound(m)); m++) {
+    largest = m;
   }
-  ASSERT_EQ(largest, 16u);
-  EXPECT_EQ(CrtPrimeCountChecked<F245>(largest).value(), kNumNttPrimes);
-  CheckMulCrtAt<F245>(largest, 920);
-}
-
-TEST(CrtSizingTest, BasisExhaustionSurfacesAsStatus) {
-  StatusOr<size_t> k = CrtPrimeCountChecked<F245>(17);
-  ASSERT_FALSE(k.ok());
-  EXPECT_EQ(k.status().code(), StatusCode::kOutOfRange);
-  EXPECT_NE(k.status().message().find("CRT basis exhausted"),
-            std::string::npos);
-  EXPECT_NE(k.status().message().find("F245"), std::string::npos);
+  ASSERT_EQ(largest, 31u);
+  const size_t m = largest;
+  ASSERT_EQ(CrtBasisSizeForBound(shift_bound(m)), kNumNttPrimes);
+  const CrtBasis<F>& basis =
+      CrtBasis<F>::Get(CrtBasisSizeForBound(shift_bound(m)));
+  Prg prg(920);
+  std::vector<F> max_a(m + 1, F::Zero() - F::One());
+  std::vector<F> max_b(2 * m + 1, F::Zero() - F::One());
+  for (const auto& [a, b] :
+       {std::pair{prg.NextFieldVector<F>(m + 1),
+                  prg.NextFieldVector<F>(2 * m + 1)},
+        std::pair{max_a, max_b}}) {
+    NttImages bimg =
+        ResiduePoly<F>::FromCoefficients(b.data(), b.size(), basis, 1)
+            .ForwardImages(CeilLog2(2 * m + 1), 1);
+    std::vector<F> got =
+        ResiduePoly<F>::MulImages(
+            ResiduePoly<F>::FromCoefficients(a.data(), a.size(), basis, 1),
+            bimg, m, m + 1, 1)
+            .ToCoefficients(1);
+    std::vector<F> full = SchoolbookMul(a, b);
+    EXPECT_EQ(got,
+              std::vector<F>(full.begin() + m, full.begin() + 2 * m + 1))
+        << (a == max_a ? "all p-1" : "random");
+  }
 }
 
 #ifndef NDEBUG
-// The unchecked path asserts in debug builds (sanitizer CI runs these).
-TEST(CrtSizingDeathTest, UncheckedCountAbortsOnExhaustion) {
-  EXPECT_DEATH(CrtPrimeCount<F245>(17), "CRT basis");
+// Sizing asserts in debug builds (sanitizer CI runs these).
+TEST(CrtSizingDeathTest, SizeForBoundAbortsPastCapacity) {
+  EXPECT_DEATH(
+      CrtBasisSizeForBound(CrtBasis<F245>::Capacity(kNumNttPrimes) + 1),
+      "CRT basis");
 }
 #endif
 
