@@ -8,12 +8,12 @@
 // proportional to a linear- rather than quadratic-length proof.
 //
 // Besides the human tables, the bench emits a JSON baseline (default
-// BENCH_fig7_breakeven.json) so the perf trajectory is machine-tracked: the
-// "paper_scale_measured_micro" rows evaluate beta* at the paper's reported
-// computation sizes and local (GMP) baselines with THIS machine's measured
-// verifier primitive costs — the quantity the crypto kernels directly move —
-// and carry the pre-kernel-push baseline beta* alongside for comparison
-// (scripts/ci.sh asserts today's beta* is strictly smaller for every app).
+// BENCH_fig7_breakeven.json): the measured micro costs, each ElGamal term
+// beside its frozen PowNaive reference timed in the same run (scripts/ci.sh
+// floors every kernel's speedup over its reference), and the
+// "paper_scale_measured_micro" rows, which evaluate beta* at the paper's
+// reported computation sizes and local (GMP) baselines with THIS machine's
+// measured verifier primitive costs.
 //
 // Usage: bench_fig7_breakeven [--out <path>]
 
@@ -51,7 +51,6 @@ struct JsonRow {
   double per_instance_s = -1;  // modeled verifier per-instance cost
   double zaatar_beta = -1;     // measured break-even (bench_measured only)
   double zaatar_model_beta = -1;
-  double zaatar_model_beta_pre = -2;  // -2 = not tracked for this regime
   double ginger_model_beta = -1;
 };
 
@@ -64,9 +63,11 @@ void JsonNumber(FILE* f, const char* key, double v, const char* suffix) {
 }
 
 // `naive_term_s` is the per-term time of the reference inner-product loop,
-// measured beside each field's f_lazy.
+// measured beside each field's f_lazy, and `naive` the PowNaive references
+// for e, d and h.
 void WriteJson(const std::string& path, const MicroCosts& m128,
                const MicroCosts& m220, const double naive_term_s[2],
+               const bench::NaiveCryptoCosts naive[2],
                const std::vector<JsonRow>& rows) {
   FILE* f = fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -74,7 +75,7 @@ void WriteJson(const std::string& path, const MicroCosts& m128,
     exit(1);
   }
   fprintf(f, "{\n  \"bench\": \"fig7_breakeven\",\n");
-  fprintf(f, "  \"schema\": \"fig7.breakeven.v1\",\n");
+  fprintf(f, "  \"schema\": \"fig7.breakeven.v2\",\n");
   fprintf(f, "  \"micro\": {\n");
   const MicroCosts* micros[2] = {&m128, &m220};
   const char* names[2] = {"F128", "F220"};
@@ -83,9 +84,12 @@ void WriteJson(const std::string& path, const MicroCosts& m128,
     fprintf(f,
             "    \"%s\": {\"e_s\": %.9g, \"d_s\": %.9g, \"h_s\": %.9g, "
             "\"h_amortized_s\": %.9g, \"f_s\": %.9g, \"f_lazy_s\": %.9g, "
-            "\"f_lazy_naive_s\": %.9g, \"f_div_s\": %.9g, \"c_s\": %.9g}%s\n",
+            "\"f_lazy_naive_s\": %.9g, \"f_div_s\": %.9g, \"c_s\": %.9g, "
+            "\"e_naive_s\": %.9g, \"d_naive_s\": %.9g, "
+            "\"h_naive_s\": %.9g}%s\n",
             names[i], m.e, m.d, m.h, m.h_amortized, m.f, m.f_lazy,
-            naive_term_s[i], m.f_div, m.c, i == 0 ? "," : "");
+            naive_term_s[i], m.f_div, m.c, naive[i].e, naive[i].d, naive[i].h,
+            i == 0 ? "," : "");
   }
   fprintf(f, "  },\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); i++) {
@@ -97,10 +101,6 @@ void WriteJson(const std::string& path, const MicroCosts& m128,
     JsonNumber(f, "per_instance_s", r.per_instance_s, ", ");
     JsonNumber(f, "zaatar_beta_star", r.zaatar_beta, ", ");
     JsonNumber(f, "zaatar_model_beta_star", r.zaatar_model_beta, ", ");
-    if (r.zaatar_model_beta_pre > -2) {
-      JsonNumber(f, "zaatar_model_beta_star_pre_pr", r.zaatar_model_beta_pre,
-                 ", ");
-    }
     JsonNumber(f, "ginger_model_beta_star", r.ginger_model_beta, "");
     fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -160,13 +160,11 @@ ComputationStats ScaledStats(const App<F>& bench_app, double count_factor,
   return s;
 }
 
-// Paper-scale model row; when pre-PR micro costs are supplied the row also
-// reports (and records) beta* under those, so the JSON carries the
-// trajectory the kernel work moved.
+// Paper-scale model row: beta* under the given micro costs.
 void PaperScaleRow(const char* label, const char* field,
                    const ComputationStats& s, const PcpParams& params,
-                   const MicroCosts& micro, const MicroCosts* micro_pre,
-                   const char* regime, std::vector<JsonRow>* out) {
+                   const MicroCosts& micro, const char* regime,
+                   std::vector<JsonRow>* out) {
   CostModel model(micro, params);
   double zb = model.ZaatarBreakeven(s);
   double gb = model.GingerBreakeven(s);
@@ -181,11 +179,7 @@ void PaperScaleRow(const char* label, const char* field,
   r.per_instance_s = model.ZaatarVerifierPerInstance(s);
   r.zaatar_model_beta = zb;
   r.ginger_model_beta = gb;
-  if (micro_pre != nullptr) {
-    CostModel pre(*micro_pre, params);
-    r.zaatar_model_beta_pre = pre.ZaatarBreakeven(s);
-    printf("   pre-kernel-push Z = %s", HumanBatch(r.zaatar_model_beta_pre).c_str());
-  } else if (zb > 0 && gb > 0) {
+  if (zb > 0 && gb > 0) {
     printf("   G/Z = %.1e", gb / zb);
   }
   printf("\n");
@@ -215,12 +209,27 @@ int main(int argc, char** argv) {
   const double naive_term_s[2] = {
       bench::MeasureInnerProductTerm<F128>(/*naive=*/true),
       bench::MeasureInnerProductTerm<F220>(/*naive=*/true)};
+  const bench::NaiveCryptoCosts naive[2] = {
+      bench::MeasureNaiveCryptoCosts<F128>(),
+      bench::MeasureNaiveCryptoCosts<F220>()};
   printf("inner product per term: F128 f_lazy %s (reference loop %s), "
-         "F220 f_lazy %s (reference loop %s)\n\n",
+         "F220 f_lazy %s (reference loop %s)\n",
          bench::HumanSeconds(m128.f_lazy).c_str(),
          bench::HumanSeconds(naive_term_s[0]).c_str(),
          bench::HumanSeconds(m220.f_lazy).c_str(),
          bench::HumanSeconds(naive_term_s[1]).c_str());
+  const MicroCosts* measured[2] = {&m128, &m220};
+  for (int i = 0; i < 2; i++) {
+    printf("%s e/d/h %s / %s / %s (PowNaive references %s / %s / %s)\n",
+           i == 0 ? "F128" : "F220",
+           bench::HumanSeconds(measured[i]->e).c_str(),
+           bench::HumanSeconds(measured[i]->d).c_str(),
+           bench::HumanSeconds(measured[i]->h).c_str(),
+           bench::HumanSeconds(naive[i].e).c_str(),
+           bench::HumanSeconds(naive[i].d).c_str(),
+           bench::HumanSeconds(naive[i].h).c_str());
+  }
+  printf("\n");
   printf("%-38s %10s %12s %12s %12s %12s\n", "computation", "t_local",
          "V setup", "Z(meas)", "Z(model)", "G(model)");
   bench::PrintRule(110);
@@ -248,8 +257,8 @@ int main(int argc, char** argv) {
     ComputationStats stats;  // at paper scale, with paper GMP t_local
   };
   // The paper's Figure 5 "local" column (GMP bignum baselines) — fixed
-  // across runs, so beta* movement in the trajectory rows below is purely
-  // verifier-kernel-driven.
+  // across runs, so beta* in the rows below moves only with the verifier
+  // kernels (and with the host's speed).
   std::vector<PaperApp> paper_apps;
   paper_apps.push_back(
       {"pam_clustering(m=20,d=128)", "F128",
@@ -272,28 +281,15 @@ int main(int argc, char** argv) {
        ScaledStats(MakeLcsApp(16), (300.0 * 300) / (16.0 * 16), 300.0 / 16,
                    1.4e-3)});
 
-  // Pre-kernel-push verifier primitive costs, measured on this machine by
-  // bench_micro_ops immediately before the Montgomery-squaring / windowed-
-  // Pow / signed-Pippenger / batched-Encrypt push (the previous EXPERIMENTS
-  // §5.1 baseline). The JSON rows below carry beta* under both cost sets so
-  // the improvement is machine-checkable.
-  MicroCosts pre128{.e = 50.7e-6, .d = 144.7e-6, .h = 212.9e-6,
-                    .f_lazy = 11.6e-9, .f = 11.6e-9, .f_div = 5.80e-6,
-                    .c = 45.7e-9};
-  MicroCosts pre220{.e = 74.8e-6, .d = 214.4e-6, .h = 451.7e-6,
-                    .f_lazy = 46.3e-9, .f = 46.3e-9, .f_div = 23.3e-6,
-                    .c = 130e-9};
-
   printf("\nPaper regime, this machine's verifier kernels: beta* at the "
          "paper's input\nsizes and GMP local baselines, under the measured "
-         "micro costs (the\ntrajectory rows scripts/ci.sh gates on):\n");
+         "micro costs:\n");
   printf("%-38s %10s %12s %12s\n", "computation @ paper size", "t_local",
          "Z(model)", "G(model)");
   bench::PrintRule(100);
   for (const PaperApp& app : paper_apps) {
     const MicroCosts& micro = strcmp(app.field, "F220") == 0 ? m220 : m128;
-    const MicroCosts& pre = strcmp(app.field, "F220") == 0 ? pre220 : pre128;
-    PaperScaleRow(app.label, app.field, app.stats, params, micro, &pre,
+    PaperScaleRow(app.label, app.field, app.stats, params, micro,
                   "paper_scale_measured_micro", &rows);
   }
 
@@ -317,11 +313,11 @@ int main(int argc, char** argv) {
     for (const PaperApp& app : paper_apps) {
       const MicroCosts& micro =
           strcmp(app.field, "F220") == 0 ? paper220 : paper128;
-      PaperScaleRow(app.label, app.field, app.stats, params, micro, nullptr,
+      PaperScaleRow(app.label, app.field, app.stats, params, micro,
                     "paper_constants", &rows);
     }
   }
 
-  WriteJson(out_path, m128, m220, naive_term_s, rows);
+  WriteJson(out_path, m128, m220, naive_term_s, naive, rows);
   return 0;
 }

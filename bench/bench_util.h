@@ -46,6 +46,68 @@ double MeasureInnerProductTerm(bool naive, size_t reps = 64) {
   return best;
 }
 
+// Seconds per operation of frozen references for MicroCosts' ElGamal terms,
+// every power by the bit-at-a-time PowNaive: e as g^r and h^r·g^m, d as
+// c1^(q−x)·c2, h as c1^s and c2^s folded into an accumulator. Each is the
+// best of three rounds after a warm-up round, so a preempted round does not
+// count; scripts/ci.sh floors each kernel's speedup over its reference.
+struct NaiveCryptoCosts {
+  double e = -1;
+  double d = -1;
+  double h = -1;
+};
+
+template <typename F>
+NaiveCryptoCosts MeasureNaiveCryptoCosts(size_t reps = 8) {
+  using EG = ElGamal<F>;
+  Prg prg(0xFEED);
+  auto kp = EG::GenerateKeys(prg);
+  F r = prg.template NextNonzeroField<F>();
+  const F m = prg.template NextNonzeroField<F>();
+  const F s = prg.template NextNonzeroField<F>();
+  const auto ct = EG::Encrypt(kp.pk, m, prg);
+  typename F::Repr neg_x = F::kModulus;
+  neg_x.SubInPlace(kp.sk.x);
+  volatile uint64_t sink = 0;
+  NaiveCryptoCosts best;
+  auto keep_min = [](double* best_s, double s) {
+    if (*best_s < 0 || s < *best_s) {
+      *best_s = s;
+    }
+  };
+  for (int round = 0; round < 4; round++) {  // round 0 warms up
+    Stopwatch sw;
+    for (size_t i = 0; i < reps; i++) {
+      const auto re = r.ToCanonical();
+      const auto c1 = kp.pk.g.PowNaive(re);
+      const auto c2 =
+          kp.pk.h.PowNaive(re) * kp.pk.g.PowNaive(m.ToCanonical());
+      sink = sink + c1.ToUint64() + c2.ToUint64();
+      r += F::One();
+    }
+    const double e = sw.Lap() / static_cast<double>(reps);
+    for (size_t i = 0; i < reps; i++) {
+      sink = sink + (ct.c2 * ct.c1.PowNaive(neg_x)).ToUint64();
+    }
+    const double d = sw.Lap() / static_cast<double>(reps);
+    auto acc = ct;
+    const auto se = s.ToCanonical();
+    for (size_t i = 0; i < reps; i++) {
+      acc.c1 = acc.c1 * ct.c1.PowNaive(se);
+      acc.c2 = acc.c2 * ct.c2.PowNaive(se);
+    }
+    const double h = sw.Lap() / static_cast<double>(reps);
+    sink = sink + acc.c1.ToUint64();
+    if (round > 0) {
+      keep_min(&best.e, e);
+      keep_min(&best.d, d);
+      keep_min(&best.h, h);
+    }
+  }
+  (void)sink;
+  return best;
+}
+
 // Measures the primitive costs of Figure 3's parameters for field F
 // (the §5.1 microbenchmark methodology: average over repeated executions).
 template <typename F>

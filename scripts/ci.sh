@@ -116,11 +116,16 @@ EOF
 }
 
 fig7_smoke() {
-  # Figure 7 break-even baseline: validate the emitted schema and assert the
-  # perf trajectory — in the paper-regime rows (paper input sizes + GMP
-  # local baselines, this machine's measured verifier kernels) every app
-  # must break even strictly earlier than the recorded pre-kernel-push
-  # baseline. Catches both emitter rot and verifier-kernel regressions.
+  # Figure 7 break-even baseline: validate the emitted schema and floor each
+  # verifier kernel's speedup over a frozen reference timed in the same run,
+  # so the gate reads the code, not the host. f_lazy >= 1.5x over the
+  # reference inner-product loop (3-8.6x measured). e, d and h (Encrypt,
+  # DecryptToGroup, Ciphertext::Pow) over the same powers by PowNaive: 10
+  # runs on a 4-core Xeon that ran the AVX-512 IFMA engine read e at
+  # 18.7-42.5x, d at 3.3-6.8x and h at 3.1-6.2x over both fields, and each
+  # floor is half the lowest reading. A kernel routed through PowNaive reads
+  # about 1x. The paper-scale rows' beta* are reported, not gated: they
+  # swing severalfold with the host's speed (fannkuch read 2.2M-24M).
   local build_dir="$1"
   echo "==== [bench] fig7 break-even smoke ===="
   local fjson="$build_dir/BENCH_fig7_smoke.json"
@@ -130,38 +135,35 @@ fig7_smoke() {
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "fig7.breakeven.v1", doc.get("schema")
-lazy = []
+assert doc["schema"] == "fig7.breakeven.v2", doc.get("schema")
+floors = {"f_lazy": 1.5, "e": 9.0, "d": 1.6, "h": 1.5}
+read = []
 for field in ("F128", "F220"):
     micro = doc["micro"][field]
     for key in ("e_s", "d_s", "h_s", "h_amortized_s", "f_s", "f_lazy_s",
-                "f_lazy_naive_s", "f_div_s", "c_s"):
+                "f_lazy_naive_s", "f_div_s", "c_s", "e_naive_s", "d_naive_s",
+                "h_naive_s"):
         assert micro.get(key, 0) > 0, f"micro cost {key} missing for {field}"
-    # Perf floor: the lazily reduced inner product must stay at least 1.5x
-    # faster per term than the reference loop timed in the same run (3-6x
-    # measured). f_s is a dependent-chain latency, not comparable.
-    speedup = micro["f_lazy_naive_s"] / micro["f_lazy_s"]
-    assert speedup >= 1.5, \
-        f"{field}: lazy inner product only {speedup:.2f}x over the reference"
-    lazy.append(f"{field} {speedup:.1f}x")
-print("lazy inner product floor ok:", ", ".join(lazy))
+    # f_s is a dependent-chain latency, not comparable with f_lazy_s.
+    for term, floor in floors.items():
+        ref = "f_lazy_naive_s" if term == "f_lazy" else f"{term}_naive_s"
+        speedup = micro[ref] / micro[f"{term}_s"]
+        assert speedup >= floor, \
+            f"{field}: {term} only {speedup:.2f}x over its reference (floor {floor}x)"
+        read.append(f"{field} {term} {speedup:.1f}x")
+print("kernel floors ok:", ", ".join(read))
 rows = doc["rows"]
 for row in rows:
     for key in ("app", "field", "regime", "t_local_s"):
         assert key in row, f"missing key {key} in {row}"
-trajectory = [r for r in rows if r["regime"] == "paper_scale_measured_micro"]
-assert len(trajectory) == 5, f"expected 5 trajectory rows, got {trajectory}"
-for row in trajectory:
-    beta, pre = row["zaatar_model_beta_star"], row["zaatar_model_beta_star_pre_pr"]
-    assert beta is not None, f"{row['app']}: no longer breaks even"
-    assert pre is None or beta < pre, \
-        f"{row['app']}: beta* regressed ({beta} vs pre {pre})"
-print("fig7 trajectory ok:",
-      ", ".join(f"{r['app'].split('(')[0]} {r['zaatar_model_beta_star']:.0f}"
-                for r in trajectory))
+paper = [r for r in rows if r["regime"] == "paper_scale_measured_micro"]
+assert len(paper) == 5, f"expected 5 paper-scale rows, got {paper}"
+print("fig7 paper-scale beta* (reported):",
+      ", ".join(f"{r['app'].split('(')[0]} {r['zaatar_model_beta_star']}"
+                for r in paper))
 EOF
   else
-    grep -q '"fig7.breakeven.v1"' "$fjson"
+    grep -q '"fig7.breakeven.v2"' "$fjson"
     grep -q '"paper_scale_measured_micro"' "$fjson"
   fi
   echo "bench smoke ok: $fjson"
@@ -360,7 +362,6 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["schema"] == "zaatar.serve.stats.v1", doc.get("schema")
-assert doc["poller"] == "poll", doc["poller"]
 cache = doc["cache"]
 assert cache["misses"] >= 1, f"no setup build recorded: {cache}"
 assert cache["hits"] >= 1, f"amortization failure, zero cache hits: {cache}"
@@ -521,9 +522,11 @@ fi
 # separate threads), and the shared tracer/metrics collectors in
 # obs_test (many threads recording spans and counters concurrently, plus
 # the cross-thread-stitched harness batch), and the pooled prover
-# (ProverSession::ProveBatch under the harness and the serve client). Only
-# the concurrency-heavy tests run: TSan's ~10x slowdown makes the full suite
-# impractical, and the remaining tests are single-threaded.
+# (ProverSession::ProveBatch under the harness and the serve client), and
+# the serve daemon's accept thread, connection threads and job gate
+# (serve_test). Only the concurrency-heavy tests run: TSan's ~10x slowdown
+# makes the full suite impractical, and the remaining tests are
+# single-threaded.
 tsan_build() {
   echo "==== [tsan] configure + build ===="
   cmake -B build-tsan -S . -DZAATAR_SANITIZE=thread >/dev/null

@@ -4,7 +4,10 @@
 //   zaatar-serve --mode serve --socket /tmp/z.sock [--workers N]
 //       [--max-queue N] [--max-connections N] [--cache-entries N]
 //       [--handshake-ms N] [--idle-ms N] [--seed S] [--paper-params]
-//     Runs the daemon until a kShutdown frame (or SIGINT/SIGTERM).
+//     Runs the daemon until a kShutdown frame (or SIGINT/SIGTERM). One
+//     thread serves each connection; --workers setup builds and proof
+//     verifications run at once, --max-queue more wait for a slot, and
+//     the rest are refused with a typed RESOURCE_EXHAUSTED.
 //
 //   zaatar-serve --mode prove --socket /tmp/z.sock --psi lcs/6
 //       [--tenant NAME] [--instances N] [--seed S] [--max-retries N]
@@ -61,7 +64,10 @@ void Usage(const char* argv0) {
             << "       [--seed S] [--workers N] [--max-queue N]\n"
             << "       [--max-connections N] [--cache-entries N]\n"
             << "       [--handshake-ms N] [--idle-ms N] [--max-retries N]\n"
-            << "       [--paper-params]\n";
+            << "       [--paper-params]\n"
+            << "  --workers N    jobs (setup builds, verifications) run at "
+               "once\n"
+            << "  --max-queue N  jobs that wait for a slot; more are refused\n";
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {

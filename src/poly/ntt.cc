@@ -217,36 +217,4 @@ const NttPlan& GetNttPlan(size_t prime_index, size_t log_n) {
   return *it->second;
 }
 
-std::vector<uint64_t> ConvolveModPrime(size_t prime_index, const uint64_t* a,
-                                       size_t a_len, const uint64_t* b,
-                                       size_t b_len) {
-  assert(a_len > 0 && b_len > 0);
-  size_t out_len = a_len + b_len - 1;
-  size_t log_n = 0;
-  while ((size_t{1} << log_n) < out_len) {
-    log_n++;
-  }
-  const MontField64 f(kNttPrimes[prime_index]);
-  size_t n = size_t{1} << log_n;
-
-  std::vector<uint64_t> fa(n, 0), fb(n, 0);
-  for (size_t i = 0; i < a_len; i++) {
-    fa[i] = f.ToMont(a[i]);
-  }
-  for (size_t i = 0; i < b_len; i++) {
-    fb[i] = f.ToMont(b[i]);
-  }
-  NttForward(prime_index, fa.data(), log_n);
-  NttForward(prime_index, fb.data(), log_n);
-  for (size_t i = 0; i < n; i++) {
-    fa[i] = f.Mul(fa[i], fb[i]);
-  }
-  NttInverse(prime_index, fa.data(), log_n);
-  std::vector<uint64_t> out(out_len);
-  for (size_t i = 0; i < out_len; i++) {
-    out[i] = f.FromMont(fa[i]);
-  }
-  return out;
-}
-
 }  // namespace zaatar

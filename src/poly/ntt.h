@@ -161,13 +161,6 @@ void NttInverseFourStep(size_t prime_index, uint64_t* data, size_t log_n);
 void TransposeBlocked(const uint64_t* src, uint64_t* dst, size_t rows,
                       size_t cols);
 
-// Convolution of a and b modulo kNttPrimes[prime_index]. Inputs in standard
-// (non-Montgomery) representation reduced mod the prime; output likewise,
-// length a_len + b_len - 1.
-std::vector<uint64_t> ConvolveModPrime(size_t prime_index, const uint64_t* a,
-                                       size_t a_len, const uint64_t* b,
-                                       size_t b_len);
-
 }  // namespace zaatar
 
 #endif  // SRC_POLY_NTT_H_

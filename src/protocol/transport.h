@@ -275,6 +275,10 @@ class PipeTransport final : public Transport {
     return frame;
   }
 
+  // Deadlines for later calls. Not safe concurrently with Send() or
+  // Receive() on this endpoint; Close() is.
+  void set_options(TransportOptions options) { options_ = options; }
+
   void Close() override {
     // shutdown(2), never close(2): see the class comment. Both a blocked
     // peer (other endpoint of the socketpair) and a blocked sibling thread
@@ -399,11 +403,10 @@ class PipeTransport final : public Transport {
 };
 
 // A bound, listening AF_UNIX stream socket — the accept side of a standing
-// service (zaatar-serve). The descriptor is non-blocking so an event loop
-// can register it with poll(2) and drain the accept queue on readiness;
-// accepted connections come back non-blocking too, ready to wrap in a
-// PipeTransport or feed a framed connection buffer. Owns the fd and unlinks
-// the socket path on destruction.
+// service (zaatar-serve). The descriptor is non-blocking so an accept
+// thread can wait for it with poll(2) and be woken by shutdown(2); accepted
+// connections come back non-blocking too, ready to wrap in a PipeTransport.
+// Owns the fd and unlinks the socket path on destruction.
 class UnixListener {
  public:
   UnixListener(UnixListener&& other) noexcept
@@ -462,9 +465,8 @@ class UnixListener {
   }
 
   // Drains one connection from the accept queue, or returns -1 when none is
-  // pending (the readiness loop re-arms and waits) — that is flow control,
-  // not an error. Accepted descriptors are returned non-blocking; the
-  // caller owns them.
+  // pending (the caller polls again) — that is flow control, not an error.
+  // Accepted descriptors are returned non-blocking; the caller owns them.
   StatusOr<int> Accept() {
     for (;;) {
       int conn = ::accept(fd_, nullptr, nullptr);

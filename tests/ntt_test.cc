@@ -191,36 +191,5 @@ TEST(FourStepTest, RoundTripAtDispatchThreshold) {
   EXPECT_EQ(data, orig);
 }
 
-TEST(ConvolveTest, MatchesSchoolbook) {
-  Prg prg(24);
-  for (size_t pi : {size_t{0}, size_t{7}}) {
-    const uint64_t p = kNttPrimes[pi];
-    for (auto [na, nb] : {std::pair<size_t, size_t>{1, 1},
-                          {3, 5},
-                          {17, 4},
-                          {64, 64},
-                          {100, 33}}) {
-      std::vector<uint64_t> a(na), b(nb);
-      for (auto& x : a) {
-        x = prg.NextU64() % p;
-      }
-      for (auto& x : b) {
-        x = prg.NextU64() % p;
-      }
-      auto got = ConvolveModPrime(pi, a.data(), na, b.data(), nb);
-      std::vector<uint64_t> expect(na + nb - 1, 0);
-      for (size_t i = 0; i < na; i++) {
-        for (size_t j = 0; j < nb; j++) {
-          __uint128_t cur = static_cast<__uint128_t>(a[i]) * b[j] +
-                            expect[i + j];
-          expect[i + j] = static_cast<uint64_t>(cur % p);
-        }
-      }
-      EXPECT_EQ(got, expect) << "prime " << pi << " sizes " << na << "x"
-                             << nb;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace zaatar

@@ -1,9 +1,10 @@
 // zaatar-serve daemon tests: the include-graph trust boundary for the
-// client half, envelope/registry codecs, the poller, the bounded worker
-// pool, the amortization cache (single-build latch, LRU + epoch eviction,
-// failure retry), and the daemon end to end over AF_UNIX — two clients
-// amortizing one setup, typed saturation shedding, admission control,
-// handshake deadlines, hostile frames, and message-driven shutdown.
+// client half, envelope/registry codecs, the amortization cache
+// (single-build latch, LRU + epoch eviction, failure retry), and the daemon
+// end to end over AF_UNIX — two clients amortizing one setup, typed
+// saturation shedding, admission control, handshake and idle deadlines, a
+// client that never reads, hostile frames, and shutdown by message and by
+// Stop() with connections blocked.
 
 // The client header comes FIRST so the guards below see exactly what
 // prover-side serve code pulls in.
@@ -22,11 +23,18 @@
 #error "serve client headers leak verifier_session.h"
 #endif
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <linux/sockios.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,10 +42,8 @@
 
 #include "src/pcp/params.h"
 #include "src/serve/amortization_cache.h"
-#include "src/serve/poller.h"
 #include "src/serve/psi_material.h"
 #include "src/serve/server.h"
-#include "src/serve/worker_pool.h"
 
 namespace zaatar {
 namespace {
@@ -104,80 +110,6 @@ TEST(ServeMessagesTest, HostileFramesRejected) {
   // GetLength, before any allocation.
   std::vector<uint8_t> bad = {0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F};
   EXPECT_FALSE(serve::HelloMessage::DecodePayload(bad).ok());
-}
-
-// ----- poller -----
-
-TEST(PollerTest, PollPollerReadiness) {
-  serve::PollPoller poller;
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(poller.Add(fds[0], /*tag=*/7, /*want_read=*/true,
-                         /*want_write=*/false)
-                  .ok());
-  // Nothing buffered: a bounded wait returns empty.
-  auto idle = poller.Wait(20);
-  ASSERT_TRUE(idle.ok());
-  EXPECT_TRUE(idle->empty());
-  // One byte: readable with our tag.
-  ASSERT_EQ(::write(fds[1], "x", 1), 1);
-  auto ready = poller.Wait(1000);
-  ASSERT_TRUE(ready.ok());
-  ASSERT_EQ(ready->size(), 1u);
-  EXPECT_EQ((*ready)[0].tag, 7u);
-  EXPECT_TRUE((*ready)[0].readable);
-  // Disarmed: the still-buffered byte no longer reports (backpressure
-  // depends on level-triggered disarm/re-arm).
-  ASSERT_TRUE(poller.Update(fds[0], 7, /*want_read=*/false,
-                            /*want_write=*/false)
-                  .ok());
-  auto disarmed = poller.Wait(20);
-  ASSERT_TRUE(disarmed.ok());
-  EXPECT_TRUE(disarmed->empty());
-  // Re-armed: it reports again.
-  ASSERT_TRUE(poller.Update(fds[0], 7, /*want_read=*/true,
-                            /*want_write=*/false)
-                  .ok());
-  auto rearmed = poller.Wait(1000);
-  ASSERT_TRUE(rearmed.ok());
-  ASSERT_EQ(rearmed->size(), 1u);
-  ASSERT_TRUE(poller.Remove(fds[0]).ok());
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-// ----- worker pool -----
-
-TEST(WorkerPoolTest, RunsJobsAndShedsTypedWhenSaturated) {
-  serve::WorkerPool pool(/*threads=*/1, /*max_queue=*/1);
-  std::atomic<int> ran{0};
-  std::atomic<bool> release{false};
-  // Occupy the single worker...
-  ASSERT_TRUE(pool.Submit([&] {
-                    while (!release.load()) {
-                      std::this_thread::sleep_for(Millis(1));
-                    }
-                    ran++;
-                  })
-                  .ok());
-  // ...wait until it is actually running so the queue is empty again...
-  while (pool.queue_depth() > 0) {
-    std::this_thread::sleep_for(Millis(1));
-  }
-  // ...fill the one queue slot...
-  ASSERT_TRUE(pool.Submit([&] { ran++; }).ok());
-  // ...and the next submit is REFUSED, typed, without blocking.
-  Status shed = pool.Submit([&] { ran++; });
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
-  release.store(true);
-  // Stop() drops queued-but-unstarted jobs by design, so wait for the
-  // accepted pair to finish before stopping.
-  for (int i = 0; i < 1000 && ran.load() < 2; i++) {
-    std::this_thread::sleep_for(Millis(1));
-  }
-  EXPECT_EQ(ran.load(), 2);
-  pool.Stop();
 }
 
 // ----- amortization cache -----
@@ -468,8 +400,6 @@ TEST(ServeDaemonTest, SaturationShedsTypedAndConnectionSurvives) {
   auto retried = clients[2]->Prove({3});
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(*retried, std::vector<uint8_t>({3}));
-  const std::string stats = server.StatsJson();
-  EXPECT_NE(stats.find("\"poller\": \"poll\""), std::string::npos) << stats;
   server.Stop();
 }
 
@@ -531,6 +461,141 @@ TEST(ServeDaemonTest, HandshakeDeadlineClosesStalledConnection) {
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kTruncated);
   server.Stop();
+}
+
+TEST(ServeDaemonTest, IdleDeadlineClosesQuietConnectionAfterHello) {
+  serve::ServerOptions opt;
+  opt.socket_path = TestSocketPath();
+  opt.idle_deadline = Millis(80);
+  serve::Server server(opt, StubBuilder(Millis(0)));
+  ASSERT_TRUE(server.Start().ok());
+
+  auto fd = protocol::ConnectUnix(opt.socket_path);
+  ASSERT_TRUE(fd.ok());
+  protocol::TransportOptions topt;
+  topt.recv_deadline = Millis(3000);
+  protocol::PipeTransport link(*fd, topt);
+  serve::HelloMessage hello;
+  hello.field_tag = serve::kFieldTagF128;
+  hello.psi = "stub/1";
+  ASSERT_TRUE(link.Send(serve::EncodeEnvelope(serve::MessageType::kHello,
+                                              hello.EncodePayload()))
+                  .ok());
+  auto setup = link.Receive();
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+  auto setup_env = serve::DecodeEnvelope(*setup);
+  ASSERT_TRUE(setup_env.ok());
+  EXPECT_EQ(setup_env->type, serve::MessageType::kSetup);
+  // Quiet after the handshake: the idle deadline sends a typed notice and
+  // closes.
+  auto notice = link.Receive();
+  ASSERT_TRUE(notice.ok()) << notice.status().ToString();
+  auto env = serve::DecodeEnvelope(*notice);
+  ASSERT_TRUE(env.ok());
+  ASSERT_EQ(env->type, serve::MessageType::kError);
+  auto err = serve::ErrorMessage::DecodePayload(env->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->ToStatus().code(), StatusCode::kDeadlineExceeded);
+  auto eof = link.Receive();
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.status().code(), StatusCode::kTruncated);
+  server.Stop();
+}
+
+// A client that sends requests and never reads their replies must stall
+// against the kernel socket buffers, not make the daemon queue replies, and
+// other clients must still be served.
+TEST(ServeDaemonTest, ClientThatNeverReadsIsStalledNotQueued) {
+  serve::ServerOptions opt;
+  opt.socket_path = TestSocketPath();
+  serve::Server server(opt, StubBuilder(Millis(0)));
+  ASSERT_TRUE(server.Start().ok());
+
+  auto fd = protocol::ConnectUnix(opt.socket_path);
+  ASSERT_TRUE(fd.ok());
+  const int flood = *fd;
+  ASSERT_EQ(::fcntl(flood, F_SETFL, ::fcntl(flood, F_GETFL, 0) | O_NONBLOCK),
+            0);
+  // Four STATS frames per send: [u32 length 1][kStatsRequest].
+  const std::vector<uint8_t> frame =
+      serve::EncodeEnvelope(serve::MessageType::kStatsRequest);
+  ASSERT_EQ(frame.size(), 1u);
+  std::vector<uint8_t> chunk;
+  for (int i = 0; i < 4; i++) {
+    chunk.insert(chunk.end(), {1, 0, 0, 0, frame[0]});
+  }
+  // Each send waits until the daemon has taken it (the socket's send queue,
+  // SIOCOUTQ, is empty) before the next, so a daemon that keeps reading
+  // takes all of them a few frames at a time. A daemon whose replies are
+  // stuck stops taking them.
+  constexpr size_t kFrames = 20000;
+  size_t taken = 0;
+  bool stalled = false;
+  while (taken < kFrames && !stalled) {
+    const ssize_t w =
+        ::send(flood, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    ASSERT_EQ(w, static_cast<ssize_t>(chunk.size()))
+        << "send failed: " << std::strerror(errno);
+    const auto give_up = std::chrono::steady_clock::now() + Millis(1000);
+    int queued = 0;
+    while (::ioctl(flood, SIOCOUTQ, &queued) == 0 && queued > 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    stalled = queued > 0;
+    if (!stalled) {
+      taken += 4;
+    }
+  }
+  EXPECT_TRUE(stalled) << "all " << taken << " requests were taken";
+  EXPECT_LT(taken, kFrames);
+
+  serve::ServeClient::Options copt;
+  copt.transport.recv_deadline = Millis(3000);
+  copt.transport.send_deadline = Millis(3000);
+  auto other = serve::ServeClient::Connect(opt.socket_path, copt);
+  ASSERT_TRUE(other.ok());
+  auto stats = other->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("\"zaatar.serve.stats.v1\""), std::string::npos);
+  ::close(flood);
+  server.Stop();
+}
+
+TEST(ServeDaemonTest, StopReturnsWhileConnectionsAreBlocked) {
+  serve::ServerOptions opt;
+  opt.socket_path = TestSocketPath();
+  opt.workers = 1;
+  serve::Server server(opt, StubBuilder(/*prove_delay=*/Millis(300)));
+  ASSERT_TRUE(server.Start().ok());
+
+  serve::ServeClient::Options copt;
+  copt.backoff.max_retries = 0;
+  // Idle after its hello.
+  auto idle = serve::ServeClient::Connect(opt.socket_path, copt);
+  ASSERT_TRUE(idle.ok());
+  ASSERT_TRUE(idle->Hello(serve::kFieldTagF128, "stub/1", "idle").ok());
+  // Mid-frame: a length prefix that promises 100 bytes, and nothing else.
+  auto partial = protocol::ConnectUnix(opt.socket_path);
+  ASSERT_TRUE(partial.ok());
+  const uint8_t prefix[4] = {100, 0, 0, 0};
+  ASSERT_EQ(::send(*partial, prefix, sizeof(prefix), MSG_NOSIGNAL), 4);
+  // Running a 300 ms verification.
+  auto busy = serve::ServeClient::Connect(opt.socket_path, copt);
+  ASSERT_TRUE(busy.ok());
+  ASSERT_TRUE(busy->Hello(serve::kFieldTagF128, "stub/1", "busy").ok());
+  std::thread prove([&] { (void)busy->Prove({1}); });
+  std::this_thread::sleep_for(Millis(100));
+
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, Millis(2000));
+  prove.join();
+  auto after = idle->Stats();
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kTruncated)
+      << after.status().ToString();
+  ::close(*partial);
 }
 
 TEST(ServeDaemonTest, HostileFrameGetsTypedErrorThenClose) {
