@@ -10,7 +10,9 @@
 // Besides the human tables, the bench emits a JSON baseline (default
 // BENCH_fig7_breakeven.json): the measured micro costs, each ElGamal term
 // beside its frozen PowNaive reference timed in the same run (scripts/ci.sh
-// floors every kernel's speedup over its reference), and the
+// floors every kernel's speedup over its reference), the per-byte cost of
+// the ChaCha20 keystream behind c beside its one-block-at-a-time NextBlock
+// (floored too where the AVX-512 kernel runs), and the
 // "paper_scale_measured_micro" rows, which evaluate beta* at the paper's
 // reported computation sizes and local (GMP) baselines with THIS machine's
 // measured verifier primitive costs.
@@ -63,11 +65,13 @@ void JsonNumber(FILE* f, const char* key, double v, const char* suffix) {
 }
 
 // `naive_term_s` is the per-term time of the reference inner-product loop,
-// measured beside each field's f_lazy, and `naive` the PowNaive references
-// for e, d and h.
+// measured beside each field's f_lazy, `naive` the PowNaive references for
+// e, d and h, and `keystream_byte_s` the per-byte keystream cost of
+// NextBlocks and of NextBlock.
 void WriteJson(const std::string& path, const MicroCosts& m128,
                const MicroCosts& m220, const double naive_term_s[2],
                const bench::NaiveCryptoCosts naive[2],
+               const double keystream_byte_s[2],
                const std::vector<JsonRow>& rows) {
   FILE* f = fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -75,7 +79,11 @@ void WriteJson(const std::string& path, const MicroCosts& m128,
     exit(1);
   }
   fprintf(f, "{\n  \"bench\": \"fig7_breakeven\",\n");
-  fprintf(f, "  \"schema\": \"fig7.breakeven.v2\",\n");
+  fprintf(f, "  \"schema\": \"fig7.breakeven.v3\",\n");
+  fprintf(f,
+          "  \"keystream\": {\"kernel\": \"%s\", \"byte_s\": %.9g, "
+          "\"byte_naive_s\": %.9g},\n",
+          ChaCha20::Kernel(), keystream_byte_s[0], keystream_byte_s[1]);
   fprintf(f, "  \"micro\": {\n");
   const MicroCosts* micros[2] = {&m128, &m220};
   const char* names[2] = {"F128", "F220"};
@@ -218,6 +226,13 @@ int main(int argc, char** argv) {
          bench::HumanSeconds(naive_term_s[0]).c_str(),
          bench::HumanSeconds(m220.f_lazy).c_str(),
          bench::HumanSeconds(naive_term_s[1]).c_str());
+  const double keystream_byte_s[2] = {
+      bench::MeasureKeystreamByte(/*naive=*/false),
+      bench::MeasureKeystreamByte(/*naive=*/true)};
+  printf("ChaCha20 keystream per byte: %.3f ns (%s kernel, NextBlock %.3f "
+         "ns)\n",
+         keystream_byte_s[0] * 1e9, ChaCha20::Kernel(),
+         keystream_byte_s[1] * 1e9);
   const MicroCosts* measured[2] = {&m128, &m220};
   for (int i = 0; i < 2; i++) {
     printf("%s e/d/h %s / %s / %s (PowNaive references %s / %s / %s)\n",
@@ -318,6 +333,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out_path, m128, m220, naive_term_s, naive, rows);
+  WriteJson(out_path, m128, m220, naive_term_s, naive, keystream_byte_s,
+            rows);
   return 0;
 }

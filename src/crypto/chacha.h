@@ -23,6 +23,16 @@ class ChaCha20 {
   // Writes the keystream block for the current counter and advances it.
   void NextBlock(uint8_t out[kBlockBytes]);
 
+  // Writes `blocks` consecutive keystream blocks (blocks · kBlockBytes
+  // bytes) and advances the counter by `blocks`, mod 2^32: the same bytes
+  // as `blocks` calls of NextBlock. On a host with AVX-512 it makes 16
+  // blocks per vector pass; the remainder, and every block on other hosts,
+  // goes through NextBlock.
+  void NextBlocks(uint8_t* out, size_t blocks);
+
+  // The kernel NextBlocks runs here: "avx512" or "scalar".
+  static const char* Kernel();
+
   // Computes one block without mutating state (RFC 8439 §2.3 test support).
   static void Block(const std::array<uint8_t, kKeyBytes>& key,
                     const std::array<uint8_t, kNonceBytes>& nonce,

@@ -1,9 +1,15 @@
 // Seeded pseudorandom generator producing words, bounded integers, and
 // uniform field elements (rejection sampling), backed by ChaCha20.
 //
-// Both the verifier's PCP query randomness and the commitment randomness are
-// drawn from Prg instances. Queries can therefore be shipped as a seed
-// (the network-cost optimization of [53, Apdx A.3]).
+// The stream is the ChaCha20 keystream under the (expanded) key at nonce 0
+// from block counter 0, read as little-endian 64-bit words and refilled 16
+// blocks at a time. Every draw consumes whole words, so the words do not
+// depend on the refill size.
+//
+// The verifier's PCP queries, its ElGamal key, r, the alphas and the
+// encryption nonces all come from one Prg in this order (MeasureBatch's
+// `Prg prg(seed)`, and the daemon's per-Ψ material). That stream must stay
+// secret: whoever knows its key can replay it past the queries and read r.
 
 #ifndef SRC_CRYPTO_PRG_H_
 #define SRC_CRYPTO_PRG_H_
@@ -47,7 +53,7 @@ class Prg {
       : cipher_(key, /*nonce=*/{}, /*initial_counter=*/0) {}
 
   uint64_t NextU64() {
-    if (pos_ + 8 > ChaCha20::kBlockBytes) {
+    if (pos_ + 8 > buf_.size()) {
       Refill();
     }
     uint64_t v;
@@ -113,15 +119,18 @@ class Prg {
   }
 
  private:
+  // Blocks per refill: one pass of ChaCha20::NextBlocks' 16-block kernel.
+  static constexpr size_t kRefillBlocks = 16;
+
   void Refill() {
-    cipher_.NextBlock(buf_.data());
+    cipher_.NextBlocks(buf_.data(), kRefillBlocks);
     pos_ = 0;
   }
 
   ChaCha20 cipher_{std::array<uint8_t, ChaCha20::kKeyBytes>{},
                    std::array<uint8_t, ChaCha20::kNonceBytes>{}, 0};
-  std::array<uint8_t, ChaCha20::kBlockBytes> buf_{};
-  size_t pos_ = ChaCha20::kBlockBytes;  // force refill on first use
+  std::array<uint8_t, kRefillBlocks * ChaCha20::kBlockBytes> buf_{};
+  size_t pos_ = buf_.size();  // force refill on first use
 };
 
 }  // namespace zaatar

@@ -460,6 +460,10 @@ class Server {
     if (Status entered = gate_.Enter(); !entered.ok()) {
       return Shed(entered);
     }
+    // A tenant's counts sum over its connections: add what this verdict
+    // decided, not the connection's running totals.
+    const size_t accepted_before = session.batch->instances_accepted();
+    const size_t decided_before = session.batch->instances_decided();
     Stopwatch sw;
     auto verdict = session.batch->HandleProve(payload);
     const uint64_t us = static_cast<uint64_t>(sw.ElapsedSeconds() * 1e6);
@@ -468,14 +472,16 @@ class Server {
     metrics_.Observe(
         ("serve.tenant." + session.tenant + ".verify_us").c_str(), us);
     {
+      const size_t accepted =
+          session.batch->instances_accepted() - accepted_before;
+      const size_t decided =
+          session.batch->instances_decided() - decided_before;
       std::lock_guard<std::mutex> lock(stats_mu_);
       TenantStats& t = tenants_[session.tenant];
       t.proofs++;
       t.verify_us_sum += us;
-      if (verdict.ok()) {
-        t.accepted = session.batch->instances_accepted();
-        t.rejected = session.batch->instances_decided() - t.accepted;
-      }
+      t.accepted += accepted;
+      t.rejected += decided - accepted;
     }
     if (!verdict.ok()) {
       return {EncodeErrorFrame(verdict.status()), true};

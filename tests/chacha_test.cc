@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/crypto/prg.h"
 #include "src/field/fields.h"
@@ -10,25 +11,115 @@
 namespace zaatar {
 namespace {
 
-// RFC 8439 §2.3.2 test vector.
-TEST(ChaCha20Test, Rfc8439BlockVector) {
+// RFC 8439 §2.3.2: key 00..1f, nonce 00:00:00:09:00:00:00:4a:00:00:00:00,
+// counter 1, and the block it produces.
+std::array<uint8_t, 32> Rfc8439Key() {
   std::array<uint8_t, 32> key;
   for (int i = 0; i < 32; i++) {
     key[i] = static_cast<uint8_t>(i);
   }
-  std::array<uint8_t, 12> nonce = {0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
-                                   0x00, 0x4a, 0x00, 0x00, 0x00, 0x00};
+  return key;
+}
+
+constexpr std::array<uint8_t, 12> kRfc8439Nonce = {
+    0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x4a, 0x00, 0x00, 0x00, 0x00};
+
+constexpr uint8_t kRfc8439Block[64] = {
+    0x10, 0xf1, 0xe7, 0xe4, 0xd1, 0x3b, 0x59, 0x15, 0x50, 0x0f, 0xdd,
+    0x1f, 0xa3, 0x20, 0x71, 0xc4, 0xc7, 0xd1, 0xf4, 0xc7, 0x33, 0xc0,
+    0x68, 0x03, 0x04, 0x22, 0xaa, 0x9a, 0xc3, 0xd4, 0x6c, 0x4e, 0xd2,
+    0x82, 0x64, 0x46, 0x07, 0x9f, 0xaa, 0x09, 0x14, 0xc2, 0xd7, 0x05,
+    0xd9, 0x8b, 0x02, 0xa2, 0xb5, 0x12, 0x9c, 0xd1, 0xde, 0x16, 0x4e,
+    0xb9, 0xcb, 0xd0, 0x83, 0xe8, 0xa2, 0x50, 0x3c, 0x4e};
+
+TEST(ChaCha20Test, Rfc8439BlockVector) {
   uint8_t out[64];
-  ChaCha20::Block(key, nonce, /*counter=*/1, out);
-  const uint8_t kExpected[64] = {
-      0x10, 0xf1, 0xe7, 0xe4, 0xd1, 0x3b, 0x59, 0x15, 0x50, 0x0f, 0xdd,
-      0x1f, 0xa3, 0x20, 0x71, 0xc4, 0xc7, 0xd1, 0xf4, 0xc7, 0x33, 0xc0,
-      0x68, 0x03, 0x04, 0x22, 0xaa, 0x9a, 0xc3, 0xd4, 0x6c, 0x4e, 0xd2,
-      0x82, 0x64, 0x46, 0x07, 0x9f, 0xaa, 0x09, 0x14, 0xc2, 0xd7, 0x05,
-      0xd9, 0x8b, 0x02, 0xa2, 0xb5, 0x12, 0x9c, 0xd1, 0xde, 0x16, 0x4e,
-      0xb9, 0xcb, 0xd0, 0x83, 0xe8, 0xa2, 0x50, 0x3c, 0x4e};
+  ChaCha20::Block(Rfc8439Key(), kRfc8439Nonce, /*counter=*/1, out);
   for (int i = 0; i < 64; i++) {
-    EXPECT_EQ(out[i], kExpected[i]) << "byte " << i;
+    EXPECT_EQ(out[i], kRfc8439Block[i]) << "byte " << i;
+  }
+}
+
+// `blocks` consecutive NextBlock calls: the reference NextBlocks must match.
+std::vector<uint8_t> ScalarStream(const std::array<uint8_t, 32>& key,
+                                  const std::array<uint8_t, 12>& nonce,
+                                  uint32_t counter, size_t blocks) {
+  ChaCha20 c(key, nonce, counter);
+  std::vector<uint8_t> out(blocks * ChaCha20::kBlockBytes);
+  for (size_t b = 0; b < blocks; b++) {
+    c.NextBlock(&out[b * ChaCha20::kBlockBytes]);
+  }
+  return out;
+}
+
+std::vector<uint8_t> BulkStream(ChaCha20& c, size_t blocks) {
+  std::vector<uint8_t> out(blocks * ChaCha20::kBlockBytes);
+  c.NextBlocks(out.data(), blocks);
+  return out;
+}
+
+template <size_t N>
+std::array<uint8_t, N> RandomBytes(Prg& prg) {
+  std::array<uint8_t, N> out;
+  for (auto& b : out) {
+    b = static_cast<uint8_t>(prg.NextU64());
+  }
+  return out;
+}
+
+// NextBlocks writes the bytes of consecutive NextBlock calls and leaves the
+// counter where they leave it, for every count around the 16-block pass.
+TEST(ChaCha20Test, NextBlocksMatchesNextBlock) {
+  Prg prg(0xC4AC4A);
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 40; n++) {
+    counts.push_back(n);
+  }
+  counts.push_back(1000);
+  for (size_t n : counts) {
+    const auto key = RandomBytes<32>(prg);
+    const auto nonce = RandomBytes<12>(prg);
+    const auto counter = static_cast<uint32_t>(prg.NextU64());
+    ChaCha20 bulk(key, nonce, counter);
+    EXPECT_EQ(BulkStream(bulk, n), ScalarStream(key, nonce, counter, n))
+        << n << " blocks from counter " << counter << " (kernel "
+        << ChaCha20::Kernel() << ")";
+    // The next block continues at counter + n.
+    uint8_t next[64], expected[64];
+    bulk.NextBlock(next);
+    ChaCha20::Block(key, nonce, counter + static_cast<uint32_t>(n), expected);
+    EXPECT_EQ(0, std::memcmp(next, expected, 64)) << n << " blocks";
+  }
+}
+
+// The block counter wraps mod 2^32 inside a 16-block pass as NextBlock's
+// does; the nonce does not change.
+TEST(ChaCha20Test, NextBlocksWrapsTheCounterLikeNextBlock) {
+  Prg prg(0x3A4F);
+  const auto key = RandomBytes<32>(prg);
+  const auto nonce = RandomBytes<12>(prg);
+  uint8_t counter0[64];
+  ChaCha20::Block(key, nonce, /*counter=*/0, counter0);
+  for (size_t n : {16, 17}) {
+    ChaCha20 bulk(key, nonce, 0xFFFFFFF8u);
+    const auto out = BulkStream(bulk, n);
+    EXPECT_EQ(out, ScalarStream(key, nonce, 0xFFFFFFF8u, n)) << n << " blocks";
+    EXPECT_EQ(0, std::memcmp(&out[8 * 64], counter0, 64)) << n << " blocks";
+  }
+}
+
+// Block 0 of a 16-block pass is the RFC 8439 §2.3.2 vector, and blocks 1..15
+// are the blocks at counters 2..16.
+TEST(ChaCha20Test, NextBlocksStartsWithTheRfc8439Vector) {
+  ChaCha20 c(Rfc8439Key(), kRfc8439Nonce, /*initial_counter=*/1);
+  const auto out = BulkStream(c, 16);
+  for (int i = 0; i < 64; i++) {
+    EXPECT_EQ(out[i], kRfc8439Block[i]) << "byte " << i;
+  }
+  for (uint32_t b = 1; b < 16; b++) {
+    uint8_t expected[64];
+    ChaCha20::Block(Rfc8439Key(), kRfc8439Nonce, 1 + b, expected);
+    EXPECT_EQ(0, std::memcmp(&out[b * 64], expected, 64)) << "block " << b;
   }
 }
 
@@ -101,6 +192,43 @@ TEST(PrgTest, ExpandSeedMatchesSplitmix64Reference) {
   std::memcpy(&w1, key.data() + 8, 8);
   EXPECT_EQ(w0, 0x910a2dec89025cc1ull);
   EXPECT_EQ(w1, 0xbeeb8da1658eec67ull);
+}
+
+// The keystream under Prg::ExpandSeed(seed), nonce 0, counter 0, read with
+// NextBlock as little-endian 64-bit words.
+std::vector<uint64_t> KeystreamWords(uint64_t seed, size_t words) {
+  const auto bytes = ScalarStream(Prg::ExpandSeed(seed), {}, 0,
+                                  (words * 8 + 63) / ChaCha20::kBlockBytes);
+  std::vector<uint64_t> out(words);
+  for (size_t i = 0; i < words; i++) {
+    uint64_t w = 0;
+    for (int b = 7; b >= 0; b--) {
+      w = (w << 8) | bytes[8 * i + b];
+    }
+    out[i] = w;
+  }
+  return out;
+}
+
+// Prg's words are the keystream's, whatever its refill size: the first 4096
+// words span four 16-block refills.
+TEST(PrgTest, WordsAreTheNextBlockKeystream) {
+  const auto expected = KeystreamWords(0x5EED, 4096);
+  Prg prg(0x5EED);
+  for (size_t i = 0; i < expected.size(); i++) {
+    ASSERT_EQ(prg.NextU64(), expected[i]) << "word " << i;
+  }
+}
+
+// A NextBool consumes one whole word, so the words after it are the
+// keystream's from word 1 on; 4097 words end one word into a refill.
+TEST(PrgTest, WordsStayTheKeystreamAfterAnOddWord) {
+  const auto expected = KeystreamWords(0x0DD, 4097);
+  Prg prg(0x0DD);
+  EXPECT_EQ(prg.NextBool(), (expected[0] & 1) != 0);
+  for (size_t i = 1; i < expected.size(); i++) {
+    ASSERT_EQ(prg.NextU64(), expected[i]) << "word " << i;
+  }
 }
 
 TEST(PrgTest, NextBoundedStaysInRange) {

@@ -11,13 +11,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/apps/suite.h"
+#include "src/compiler/compile.h"
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
@@ -437,6 +441,46 @@ TEST(ProtocolMessageTest, ProverContextRejectsInconsistentMessage) {
     ASSERT_FALSE(ctx.ok());
     EXPECT_EQ(ctx.status().code(), StatusCode::kMalformed);
   }
+}
+
+// ----- the protocol's random bytes, pinned -----
+
+// FNV-1a of the setup frame a VerifierSession emits for `app` at a fixed
+// seed under PcpParams::Light(). The frame's queries, Enc(r) and t all come
+// from the one setup Prg, so the digest pins its ChaCha20 keystream, the
+// seed expansion and the order of the draws. Prover and verifier read the
+// same queries, so a wrong but deterministic keystream would still ACCEPT;
+// this is the test that sees it.
+template <typename Field>
+std::string SetupFrameDigest(const App<Field>& app) {
+  const CompiledProgram<Field> program = CompileZlang<Field>(app.source);
+  const Qap<Field> qap(program.zaatar.r1cs);
+  Prg prg(0x5E7);
+  VerifierSession<Field, ZaatarAdapter<Field>> verifier(
+      ZaatarPcp<Field>::GenerateQueries(qap, PcpParams::Light(), prg), prg);
+  auto frame = verifier.EmitSetup();
+  if (!frame.ok()) {
+    ADD_FAILURE() << frame.status().ToString();
+    return "";
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t c : *frame) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  return buf;
+}
+
+// A change meant to keep every query, key and ciphertext must keep both
+// digests; when the frame changes on purpose, the failure prints the new one.
+TEST(SetupFramePinTest, LcsOnF128) {
+  EXPECT_EQ(SetupFrameDigest(MakeLcsApp(3)), "9ff4fec1caa39372");
+}
+
+TEST(SetupFramePinTest, RootFindingOnF220) {
+  EXPECT_EQ(SetupFrameDigest(MakeRootFindApp(2, 4)), "25318b52adc6d67e");
 }
 
 // ----- phase enforcement -----

@@ -264,7 +264,9 @@ TEST(ServeDaemonTest, TwoClientsAmortizeOneSetup) {
   serve::Server server(opt, serve::MakePsiBuilder(PcpParams::Light()));
   ASSERT_TRUE(server.Start().ok());
 
-  for (int c = 0; c < 2; c++) {
+  // tenant0 comes back on a third connection: its verdict counts must sum
+  // over both of its connections.
+  for (int c : {0, 1, 0}) {
     auto client = serve::ServeClient::Connect(opt.socket_path, {});
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     auto report = serve::RunServeBatchF128(
@@ -276,14 +278,20 @@ TEST(ServeDaemonTest, TwoClientsAmortizeOneSetup) {
   }
 
   auto cache = server.cache().stats();
-  EXPECT_EQ(cache.misses, 1u) << "one build for two clients";
-  EXPECT_GE(cache.hits, 1u) << "the second hello must hit";
+  EXPECT_EQ(cache.misses, 1u) << "one build for three clients";
+  EXPECT_EQ(cache.hits, 2u) << "the later hellos must hit";
 
   const std::string stats = server.StatsJson();
   EXPECT_NE(stats.find("\"zaatar.serve.stats.v1\""), std::string::npos);
-  EXPECT_NE(stats.find("\"tenant0\""), std::string::npos);
-  EXPECT_NE(stats.find("\"tenant1\""), std::string::npos);
-  EXPECT_NE(stats.find("\"hits\": 1"), std::string::npos);
+  EXPECT_NE(stats.find("\"tenant0\": {\"proofs\": 4, \"accepted\": 4, "
+                       "\"rejected\": 0"),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"tenant1\": {\"proofs\": 2, \"accepted\": 2, "
+                       "\"rejected\": 0"),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"hits\": 2"), std::string::npos);
   server.Stop();
 }
 
